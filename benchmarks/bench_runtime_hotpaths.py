@@ -16,8 +16,8 @@ end-to-end ``DeployableNetwork.forward`` legacy-vs-runtime comparison on
 a small-scale VGG9 at paper-typical spike densities, the sharded
 serial-vs-pooled throughput, warm-vs-cold persistent-pool latency, the
 disk-backed evaluation cache's cold/warm split, the
-``quantized_kernels`` section (int8 int32-accumulating kernels vs their
-float twins, micro and end-to-end) and the ``serving`` section (online
+``quantized_kernels`` section (the int8 integer datapath vs the float
+kernels, micro and end-to-end) and the ``serving`` section (online
 dynamic-batching server: p50/p99 latency and admission accounting at a
 nominal and an overload offered rate). Results are written
 to ``BENCH_runtime.json`` at the repo root so the perf trajectory is
@@ -539,23 +539,26 @@ def bench_eval_cache() -> Dict:
 
 
 def bench_quantized_kernels(params) -> Dict:
-    """Integer datapath: the int8 kernels against their float twins.
+    """Integer datapath: the int8 kernels against the float kernels.
 
     Micro: the deep BLOCKED_SHAPE quantized with power-of-two scales,
     timing float event (blocked, as the engine runs it) vs int event and
-    float dense vs int dense per density -- after asserting the int
-    kernels reproduce the float fold bit for bit (pow2 scales make the
-    probe pass by construction). The int event kernel needs no k-block:
-    integer addition is associative, so its single unsorted scatter is
-    exact at any depth -- which is exactly why it should not lose to the
-    blocked float scatter.
+    float dense (blocked) vs int dense per density -- after asserting
+    the int kernels reproduce the float fold bit for bit (pow2 scales
+    make the probe pass by construction). Both int kernels are the float
+    unfold+GEMM and scatter run on integer-valued weights, unblocked:
+    under the overflow bound every partial sum is an exact integer, so
+    any fold order is exact at any depth. Int dense is therefore a
+    single full-``K`` BLAS GEMM, and int event a single scatter that
+    should not lose to the blocked float one.
 
     End-to-end: the tiny-scale VGG9 quantized at int8p2, forward with
-    ``int_kernels='off'`` vs ``'auto'`` (density policy, so the int
-    decision is deterministic); logits must agree bit for bit, and the
-    dispatch counters record how many layer-timesteps actually ran int32
-    accumulation -- the proof the quantized deployable no longer runs
-    float inference in disguise.
+    ``int_kernels='off'`` vs ``'auto'`` under the default dispatch
+    policy (the int decision is the overflow bound and exactness probe
+    alone, so it is deterministic under either policy); logits must
+    agree bit for bit, and the dispatch counters record how many
+    layer-timesteps actually ran on the integer datapath -- the proof
+    the quantized deployable no longer runs float inference in disguise.
     """
     from repro.quant import INT8_P2, quantize_array
     from repro.runtime import attach_int_lowering, calibrate_int_exact
@@ -635,7 +638,7 @@ def bench_quantized_kernels(params) -> Dict:
         float_ms = timeit(
             lambda: quantized.forward(images, timesteps), params["repeats"]
         )
-    with runtime_overrides(int_kernels="auto", dispatch_policy="density"):
+    with runtime_overrides(int_kernels="auto"):
         int_out = quantized.forward(images, timesteps)
         int_ms = timeit(
             lambda: quantized.forward(images, timesteps), params["repeats"]

@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="MODE",
             help=(
                 "integer datapath for quantized models: off = always "
-                "float; auto (default) = int32-accumulating kernels "
-                "wherever they proved bit-exact against float; on = "
+                "float; auto (default) = integer accumulation "
+                "wherever it proved bit-exact against float; on = "
                 "force the integer path on every int-lowered layer "
                 "(logits may differ from float). Default: "
                 "REPRO_INT_KERNELS env var, then auto"

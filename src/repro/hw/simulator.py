@@ -402,11 +402,12 @@ class HybridSimulator:
             if int_steps:
                 # The integer datapath is the software twin of the
                 # quantized MAC arrays this simulator models: these
-                # layer-timesteps accumulated in int32 and requantized
-                # at the layer boundary instead of running float GEMMs.
+                # layer-timesteps accumulated integers and requantized
+                # at the layer boundary instead of running on float
+                # weights.
                 report.notes.append(
                     f"integer datapath: {int_steps} of {dense + event} "
-                    "layer-timesteps ran int32 accumulation ("
+                    "layer-timesteps ran integer accumulation ("
                     + ", ".join(
                         f"{name} d{c.int_dense_steps}/e{c.int_event_steps}"
                         for name, c in counters.items()

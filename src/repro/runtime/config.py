@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator, Optional
 
 from repro.errors import ConfigError
@@ -50,17 +50,16 @@ class RuntimeConfig:
             0`` forces that block size for every blockable conv shape
             (still probe-guarded). Env default: ``REPRO_EVENT_KBLOCK``.
         int_kernels: integer datapath for quantized deployables.
-            ``'auto'`` (default) runs int32-accumulating kernels on the
-            binary conv steps of int-lowered layers whenever the
-            per-layer exactness probe passed, the overflow bound holds
-            and the cost model predicts them no slower -- results stay
-            bit-identical to the float path by construction. ``'on'``
-            forces the integer kernels on every such step (both dense
-            and event flavours; integer accumulation is associative, so
-            results are still deterministic at any dispatch split, but
-            may differ from the float reference when the probe failed).
-            ``'off'`` disables the integer path entirely. Env default:
-            ``REPRO_INT_KERNELS``.
+            ``'auto'`` (default) accumulates the binary conv steps of an
+            int-lowered layer in integers (dense and event flavours
+            alike) whenever its overflow bound holds and its per-layer
+            exactness probe passed -- results stay bit-identical to the
+            float path by construction. ``'on'`` forces the integer
+            datapath on every such step wherever the overflow bound
+            holds (exact integer sums make results deterministic at any
+            dispatch split, but they may differ from the float reference
+            when the probe failed). ``'off'`` disables the integer path
+            entirely. Env default: ``REPRO_INT_KERNELS``.
         max_fused_elements: cap on the im2col buffer (elements) per fused
             dense call; larger batches are chunked (bit-exact either way).
     """
@@ -190,13 +189,12 @@ class LayerCounters:
 
     The ``int_*`` fields attribute the integer datapath the same way:
     ``int_dense_steps`` / ``int_event_steps`` are the sub-counts of
-    ``dense_steps`` / ``event_steps`` that ran with int32 accumulation
+    ``dense_steps`` / ``event_steps`` that ran on the integer datapath
     (so the float-step count is the difference), ``int_event_updates``
-    the scatter contributions accumulated in int32, and the
+    the scatter contributions accumulated there, and the
     ``float_*_steps`` fields say why an int-lowered layer's step stayed
-    float: ``exactness`` (the bit-exactness probe failed),
-    ``overflow`` (the int32/2^24 accumulation bound failed), ``cost``
-    (the cost model predicted the float kernel faster).
+    float: ``exactness`` (the bit-exactness probe failed) or
+    ``overflow`` (the 2^24 accumulation bound failed).
     """
 
     dense_steps: int = 0
@@ -211,24 +209,9 @@ class LayerCounters:
     int_event_updates: int = 0
     float_exactness_steps: int = 0
     float_overflow_steps: int = 0
-    float_cost_steps: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "dense_steps": self.dense_steps,
-            "event_steps": self.event_steps,
-            "event_updates": self.event_updates,
-            "dense_density_steps": self.dense_density_steps,
-            "dense_cost_steps": self.dense_cost_steps,
-            "dense_calibration_steps": self.dense_calibration_steps,
-            "dense_forced_steps": self.dense_forced_steps,
-            "int_dense_steps": self.int_dense_steps,
-            "int_event_steps": self.int_event_steps,
-            "int_event_updates": self.int_event_updates,
-            "float_exactness_steps": self.float_exactness_steps,
-            "float_overflow_steps": self.float_overflow_steps,
-            "float_cost_steps": self.float_cost_steps,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def count_dense(self, reason: Optional[str], steps: int = 1) -> None:
         """Tally ``steps`` dense layer-timesteps attributed to ``reason``."""
@@ -248,22 +231,9 @@ class LayerCounters:
             self.float_exactness_steps += steps
         elif reason == "overflow":
             self.float_overflow_steps += steps
-        elif reason == "cost":
-            self.float_cost_steps += steps
         else:
             raise ValueError(f"unknown float-fallback reason {reason!r}")
 
     def merge(self, other: "LayerCounters") -> None:
-        self.dense_steps += other.dense_steps
-        self.event_steps += other.event_steps
-        self.event_updates += other.event_updates
-        self.dense_density_steps += other.dense_density_steps
-        self.dense_cost_steps += other.dense_cost_steps
-        self.dense_calibration_steps += other.dense_calibration_steps
-        self.dense_forced_steps += other.dense_forced_steps
-        self.int_dense_steps += other.int_dense_steps
-        self.int_event_steps += other.int_event_steps
-        self.int_event_updates += other.int_event_updates
-        self.float_exactness_steps += other.float_exactness_steps
-        self.float_overflow_steps += other.float_overflow_steps
-        self.float_cost_steps += other.float_cost_steps
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))

@@ -20,10 +20,14 @@ already-bit-identical kernels. Under ``dispatch_policy='cost'``
 (default) eligible timesteps are routed by predicted wall time from the
 measured per-layer cost model (:mod:`repro.runtime.costmodel`), and
 every dense decision is attributed to its cause (density, cost,
-calibration, forced) in the layer counters. The engine also memoises the
-first-layer current under time-invariant encodings (direct coding
-presents the same frame every timestep), which removes ``(T-1)/T`` of
-the dense-core work outright.
+calibration, forced) in the layer counters. Int-lowered conv layers of
+quantized deployables run either kernel on the integer datapath -- the
+same kernels on integer-valued weights, dequantized once per output --
+when ``int_kernels`` and the layer's overflow bound and exactness probe
+allow it; that choice is per layer, never per step or by cost. The
+engine also memoises the first-layer current under time-invariant
+encodings (direct coding presents the same frame every timestep), which
+removes ``(T-1)/T`` of the dense-core work outright.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.runtime.config import LayerCounters, RuntimeConfig, runtime_config
-from repro.runtime.costmodel import ensure_cost_state, ensure_int_rates
+from repro.runtime.costmodel import ensure_cost_state
 from repro.runtime.kernels import (
     BufferPool,
     calibrate_int_exact,
@@ -115,7 +119,7 @@ class InferenceEngine:
         self.config = config
         self.buffers = buffers if buffers is not None else BufferPool()
         self._block_by_layer: Dict[str, Optional[int]] = {}
-        self._int_by_layer: Dict[str, Tuple[bool, bool, Optional[str]]] = {}
+        self._int_by_layer: Dict[str, Tuple[bool, Optional[str]]] = {}
 
     def _config(self) -> RuntimeConfig:
         return self.config if self.config is not None else runtime_config()
@@ -150,54 +154,40 @@ class InferenceEngine:
 
     def _layer_int(
         self, layer: LayerPlan, block: Optional[int]
-    ) -> Tuple[bool, bool, Optional[str]]:
-        """The layer's integer-datapath decision:
-        ``(event_int, dense_int, fallback_reason)``.
+    ) -> Tuple[bool, Optional[str]]:
+        """The layer's integer-datapath decision: ``(use_int, fallback_reason)``.
 
-        ``event_int`` / ``dense_int`` say whether that flavour of the
-        layer's binary conv steps runs with int32 accumulation;
+        ``use_int`` says whether the layer's binary conv steps -- dense
+        and event alike -- run on the integer datapath;
         ``fallback_reason`` attributes steps that stayed float on an
-        int-lowered layer (``'overflow'``, ``'exactness'``, ``'cost'``,
-        or ``None`` when nothing fell back -- including layers that
-        carry no lowering at all).
+        int-lowered layer (``'overflow'``, ``'exactness'``, or ``None``
+        when nothing fell back -- including layers that carry no
+        lowering at all).
 
         Resolution order (``int_kernels``): ``'off'`` never routes to
-        int. ``'on'`` forces both flavours whenever the overflow bound
-        holds -- integer accumulation is associative, so any
-        dense/event/batch split still yields identical results, but they
-        may differ from the float reference when the exactness probe
-        would have failed. ``'auto'`` is exactness-preserving: the
-        overflow bound and the per-layer bit-exactness probe must pass;
-        then under ``dispatch_policy='cost'`` the measured int rates
-        pick each flavour, while under ``'density'`` the int event
-        kernel is preferred deterministically (counters stay
-        byte-comparable across geometries) and dense steps keep the
-        BLAS-backed float GEMM.
+        int. The overflow bound must hold in both other modes. ``'on'``
+        then forces the integer datapath -- exact integer sums make any
+        dense/event/batch split yield identical results, but they may
+        differ from the float reference when the exactness probe would
+        have failed. ``'auto'`` is exactness-preserving: the per-layer
+        bit-exactness probe must pass as well.
         """
         cached = self._int_by_layer.get(layer.name)
         if cached is not None:
             return cached
         config = self._config()
         mode = config.int_kernels
-        event_int = dense_int = False
+        use_int = False
         reason: Optional[str] = None
         if mode != "off" and layer.kind == "conv" and layer.has_int_lowering:
             backend = resolve_event_backend(config.event_backend)
             if not layer.int_overflow_ok:
                 reason = "overflow"
-            elif mode == "on":
-                event_int = dense_int = True
-            elif not calibrate_int_exact(layer, backend, block):
-                reason = "exactness"
-            elif config.dispatch_policy == "cost":
-                state = ensure_int_rates(layer, backend, block or None)
-                event_int = state.int_event_preferred()
-                dense_int = state.int_dense_preferred()
-                if not (event_int and dense_int):
-                    reason = "cost"
+            elif mode == "on" or calibrate_int_exact(layer, backend, block):
+                use_int = True
             else:
-                event_int = True
-        result = (event_int, dense_int, reason)
+                reason = "exactness"
+        result = (use_int, reason)
         self._int_by_layer[layer.name] = result
         return result
 
@@ -315,10 +305,8 @@ class InferenceEngine:
         int_eligible = (
             layer.kind == "conv" and not analog and layer.has_int_lowering
         )
-        event_int, dense_int, int_reason = (
-            self._layer_int(layer, block)
-            if int_eligible
-            else (False, False, None)
+        use_int, int_reason = (
+            self._layer_int(layer, block) if int_eligible else (False, None)
         )
         if time_invariant:
             cur0, used_event, updates, used_int, reason = self._batch_current(
@@ -353,9 +341,8 @@ class InferenceEngine:
                 reason = None
             counter.count_dense(reason, timesteps)
             fused = x.reshape((timesteps * samples,) + x.shape[2:])
-            use_int = False
-            if dense_int:
-                # The int dense kernel needs strictly binary input; with
+            if use_int:
+                # The integer datapath needs strictly binary input; with
                 # the per-timestep scan disabled, check the fused batch.
                 nnz = int(np.count_nonzero(fused))
                 use_int = float(nnz) == sum(t_sums)
@@ -395,9 +382,9 @@ class InferenceEngine:
         counter.event_steps += len(event_ts) + len(empty_ts)
         # Dense steps run the int flavour only when the whole fused dense
         # batch is binary (one kernel call either way).
-        use_int_dense = dense_int and bool(dense_ts) and dense_binary
+        use_int_dense = use_int and bool(dense_ts) and dense_binary
         if event_ts:
-            if event_int:
+            if use_int:
                 counter.int_event_steps += len(event_ts)
             elif int_reason is not None:
                 counter.count_float_fallback(int_reason, len(event_ts))
@@ -418,9 +405,9 @@ class InferenceEngine:
             )
         if not dense_ts and not empty_ts:
             fused = x.reshape((timesteps * samples,) + x.shape[2:])
-            cur, updates = self._kernel_event(layer, fused, block, event_int)
+            cur, updates = self._kernel_event(layer, fused, block, use_int)
             counter.event_updates += updates
-            if event_int:
+            if use_int:
                 counter.int_event_updates += updates
             return cur.reshape((timesteps, samples) + out_spatial)
         current = np.empty((timesteps, samples) + out_spatial, dtype=np.float32)
@@ -433,9 +420,9 @@ class InferenceEngine:
             ).reshape((len(dense_ts), samples) + out_spatial)
         if event_ts:
             batch_e = x[event_ts].reshape((-1,) + x.shape[2:])
-            cur_e, updates = self._kernel_event(layer, batch_e, block, event_int)
+            cur_e, updates = self._kernel_event(layer, batch_e, block, use_int)
             counter.event_updates += updates
-            if event_int:
+            if use_int:
                 counter.int_event_updates += updates
             current[event_ts] = cur_e.reshape(
                 (len(event_ts), samples) + out_spatial
@@ -509,13 +496,9 @@ class InferenceEngine:
                 xb.shape[0],
             )
             if use_event:
-                event_int, _, _ = (
-                    self._layer_int(layer, block)
-                    if layer.has_int_lowering
-                    else (False, False, None)
-                )
-                cur, updates = self._kernel_event(layer, xb, block, event_int)
-                return cur, True, updates, event_int, None
+                use_int, _ = self._layer_int(layer, block)
+                cur, updates = self._kernel_event(layer, xb, block, use_int)
+                return cur, True, updates, use_int, None
         else:
             reason = "forced" if config.force_path == "dense" else "density"
             if layer.kind != "conv" or analog:
@@ -532,32 +515,27 @@ class InferenceEngine:
         block: Optional[int] = None,
         use_int: bool = False,
     ) -> np.ndarray:
-        if layer.kind == "conv":
-            start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-            if use_int:
-                out = dense_conv_int(
-                    layer,
-                    batch,
-                    buffers=self.buffers,
-                    max_elements=self._config().max_fused_elements,
-                )
-            else:
-                out = dense_conv(
-                    layer,
-                    batch,
-                    buffers=self.buffers,
-                    max_elements=self._config().max_fused_elements,
-                    kblock=block if block else None,
-                )
-            state = layer.cost_state
-            if state is not None:
-                ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-                if use_int:
-                    state.observe_int_dense(ms, batch.shape[0])
-                else:
-                    state.observe_dense(ms, batch.shape[0])
-            return out
-        return dense_fc(layer, batch.reshape(batch.shape[0], -1))
+        if layer.kind != "conv":
+            return dense_fc(layer, batch.reshape(batch.shape[0], -1))
+        max_elements = self._config().max_fused_elements
+        start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
+        if use_int:
+            out = dense_conv_int(
+                layer, batch, buffers=self.buffers, max_elements=max_elements
+            )
+        else:
+            out = dense_conv(
+                layer,
+                batch,
+                buffers=self.buffers,
+                max_elements=max_elements,
+                kblock=block if block else None,
+            )
+        state = layer.cost_state
+        if state is not None:
+            ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
+            state.observe_dense(ms, batch.shape[0])
+        return out
 
     def _kernel_event(
         self,
@@ -569,19 +547,15 @@ class InferenceEngine:
         backend = resolve_event_backend(self._config().event_backend)
         start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
         if use_int:
-            # No blocked variant: integer accumulation is associative,
-            # so the unblocked scatter is exact at every depth.
+            # Unblocked at every depth: under the overflow bound every
+            # fold order of the integer accumulation is exact.
             result = event_conv_int(layer, batch, backend)
+        elif block:
+            result = event_conv_blocked(layer, batch, backend, block)
         else:
-            if block:
-                result = event_conv_blocked(layer, batch, backend, block)
-            else:
-                result = event_conv(layer, batch, backend)
+            result = event_conv(layer, batch, backend)
         state = layer.cost_state
         if state is not None:
             ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
-            if use_int:
-                state.observe_int_event(ms, result[1])
-            else:
-                state.observe_event(ms, result[1])
+            state.observe_event(ms, result[1])
         return result

@@ -39,6 +39,17 @@ event path stays open at any depth -- the software twin of the blocked
 event-accumulation pipelines in sparse-SNN accelerators (Sommer et al.,
 ExSpike). FC layers always take the dense path: their single small GEMM
 is negligible host cost and their BLAS shape is the multi-lane one.
+
+Quantized conv layers also have an **integer datapath**, and it reuses
+the same two accumulations rather than a kernel family of its own: the
+unfold+GEMM and the event scatter run on the layer's integer-valued
+float32 weights (``LayerPlan.wq`` / ``wqT``) and a single boundary
+dequantization turns the accumulator into the layer current. The engine
+only routes a layer here when every output channel's L1 norm
+``sum_k |wq|`` is at most 2^24. With 0/1 inputs every partial sum is
+then an integer float32 represents exactly, so any BLAS or scatter fold
+order yields the same bits as an int32 accumulator would -- no blocked
+fold, no calibration, and BLAS speed at any depth.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.runtime.plan import LayerPlan
+from repro.runtime.plan import BlockTables, LayerPlan
 from repro.utils.rng import new_rng
 
 try:  # scipy ships with the image; gate anyway so the runtime degrades cleanly
@@ -88,6 +99,64 @@ class BufferPool:
 # Dense (time-fused) path
 # ---------------------------------------------------------------------------
 
+def _unfold_matmul(
+    layer: LayerPlan,
+    x: np.ndarray,
+    wmat: np.ndarray,
+    buffers: Optional[BufferPool],
+    max_elements: int,
+    tables: Optional[BlockTables] = None,
+) -> np.ndarray:
+    """Bias-free unfold+GEMM accumulation of ``wmat`` over a binary or
+    analog (B, Cin, H, W) batch; returns (B, Cout, OH, OW) float32.
+
+    With ``tables`` the ``k`` reduction runs as the canonical blocked
+    fold over their weight slices instead of one full-``K`` GEMM.
+    """
+    g = layer.geometry
+    batch = x.shape[0]
+    kernel = g.kernel
+    out = np.empty((batch, wmat.shape[0], g.p), dtype=np.float32)
+    chunk = max(1, min(batch, max_elements // max(1, g.k * g.p)))
+    for start in range(0, batch, chunk):
+        stop = min(batch, start + chunk)
+        xc = x[start:stop]
+        if g.padding:
+            p = g.padding
+            xc = np.pad(xc, ((0, 0), (0, 0), (p, p), (p, p)))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            xc, (kernel, kernel), axis=(2, 3)
+        )  # (b, Cin, OH, OW, K, K)
+        if buffers is not None:
+            cols = buffers.get("cols", (stop - start, g.k, g.p))
+        else:
+            cols = np.empty((stop - start, g.k, g.p), dtype=np.float32)
+        np.copyto(
+            cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
+            windows.transpose(0, 1, 4, 5, 2, 3),
+        )
+        out_chunk = out[start:stop]
+        if tables is None or tables.nblocks == 1:
+            np.matmul(wmat, cols, out=out_chunk)
+        else:
+            if buffers is not None:
+                partial = buffers.get("kpartial", out_chunk.shape)
+            else:
+                partial = np.empty(out_chunk.shape, dtype=np.float32)
+            edges = tables.edges
+            np.matmul(
+                tables.wmat_blocks[0], cols[:, edges[0]:edges[1], :],
+                out=out_chunk,
+            )
+            for i in range(1, tables.nblocks):
+                np.matmul(
+                    tables.wmat_blocks[i], cols[:, edges[i]:edges[i + 1], :],
+                    out=partial,
+                )
+                np.add(out_chunk, partial, out=out_chunk)
+    return out.reshape(batch, wmat.shape[0], g.oh, g.ow)
+
+
 def dense_conv(
     layer: LayerPlan,
     x: np.ndarray,
@@ -112,50 +181,8 @@ def dense_conv(
     partials in the same order, which is what makes the two bit-identical
     at shapes whose full-``K`` fold is multi-lane (see module docs).
     """
-    g = layer.geometry
-    batch = x.shape[0]
-    cout = layer.out_channels
-    kernel = g.kernel
-    out = np.empty((batch, cout, g.p), dtype=np.float32)
-    chunk = max(1, min(batch, max_elements // max(1, g.k * g.p)))
     tables = layer.block_tables(kblock) if kblock else None
-    for start in range(0, batch, chunk):
-        stop = min(batch, start + chunk)
-        xc = x[start:stop]
-        if g.padding:
-            p = g.padding
-            xc = np.pad(xc, ((0, 0), (0, 0), (p, p), (p, p)))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            xc, (kernel, kernel), axis=(2, 3)
-        )  # (b, Cin, OH, OW, K, K)
-        if buffers is not None:
-            cols = buffers.get("cols", (stop - start, g.k, g.p))
-        else:
-            cols = np.empty((stop - start, g.k, g.p), dtype=np.float32)
-        np.copyto(
-            cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
-            windows.transpose(0, 1, 4, 5, 2, 3),
-        )
-        out_chunk = out[start:stop]
-        if tables is None or tables.nblocks == 1:
-            np.matmul(layer.wmat, cols, out=out_chunk)
-        else:
-            if buffers is not None:
-                partial = buffers.get("kpartial", out_chunk.shape)
-            else:
-                partial = np.empty(out_chunk.shape, dtype=np.float32)
-            edges = tables.edges
-            np.matmul(
-                tables.wmat_blocks[0], cols[:, edges[0]:edges[1], :],
-                out=out_chunk,
-            )
-            for i in range(1, tables.nblocks):
-                np.matmul(
-                    tables.wmat_blocks[i], cols[:, edges[i]:edges[i + 1], :],
-                    out=partial,
-                )
-                np.add(out_chunk, partial, out=out_chunk)
-    out = out.reshape(batch, cout, g.oh, g.ow)
+    out = _unfold_matmul(layer, x, layer.wmat, buffers, max_elements, tables)
     np.add(out, layer.bias.reshape(1, -1, 1, 1), out=out)
     return out
 
@@ -192,6 +219,42 @@ def _scatter_columns(
     return out
 
 
+def _event_contributions(
+    layer: LayerPlan, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scatter coordinates of a (B, Cin, H, W) binary batch: the output
+    row ``b * P + p`` and im2col row ``k`` of every in-bounds event tap."""
+    g = layer.geometry
+    b_idx, pix = np.nonzero(x.reshape(x.shape[0], -1))
+    valid = g.contrib_valid[pix]
+    k_all = g.contrib_k[pix][valid]
+    q_all = (b_idx[:, None].astype(np.int64) * g.p + g.contrib_p[pix])[valid]
+    return q_all, k_all
+
+
+def _rows_to_nchw(out2d: np.ndarray, layer: LayerPlan, batch: int) -> np.ndarray:
+    """(B * P, Cout) scatter rows -> contiguous (B, Cout, OH, OW)."""
+    g = layer.geometry
+    cout = out2d.shape[1]
+    return np.ascontiguousarray(
+        out2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
+    ).reshape(batch, cout, g.oh, g.ow)
+
+
+def _event_scatter(
+    layer: LayerPlan, x: np.ndarray, wT: np.ndarray, backend: str
+) -> Tuple[np.ndarray, int]:
+    """Bias-free event accumulation of the (K, Cout) rows ``wT``:
+    returns the (B, Cout, OH, OW) accumulator and the number of scatter
+    contributions (events x in-bounds taps)."""
+    batch = x.shape[0]
+    q_all, k_all = _event_contributions(layer, x)
+    out2d = _scatter_columns(
+        q_all, k_all, wT, batch * layer.geometry.p, backend
+    )
+    return _rows_to_nchw(out2d, layer, batch), int(k_all.size)
+
+
 def event_conv(
     layer: LayerPlan, x: np.ndarray, backend: str
 ) -> Tuple[np.ndarray, int]:
@@ -200,22 +263,7 @@ def event_conv(
     Returns the layer current and the number of scatter contributions
     (events x in-bounds taps) actually accumulated.
     """
-    g = layer.geometry
-    batch = x.shape[0]
-    cout = layer.out_channels
-    b_idx, pix = np.nonzero(x.reshape(batch, -1))
-    updates = 0
-    if b_idx.size == 0:
-        out2d = np.zeros((batch * g.p, cout), dtype=np.float32)
-    else:
-        valid = g.contrib_valid[pix]
-        k_all = g.contrib_k[pix][valid]
-        q_all = (b_idx[:, None].astype(np.int64) * g.p + g.contrib_p[pix])[valid]
-        updates = int(k_all.size)
-        out2d = _scatter_columns(q_all, k_all, layer.wT, batch * g.p, backend)
-    current = np.ascontiguousarray(
-        out2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
-    ).reshape(batch, cout, g.oh, g.ow)
+    current, updates = _event_scatter(layer, x, layer.wT, backend)
     np.add(current, layer.bias.reshape(1, -1, 1, 1), out=current)
     return current, updates
 
@@ -241,19 +289,12 @@ def event_conv_blocked(
     Returns the layer current and the number of scatter contributions,
     exactly like :func:`event_conv`.
     """
-    g = layer.geometry
     batch = x.shape[0]
-    cout = layer.out_channels
     tables = layer.block_tables(kblock)
-    n_rows = batch * g.p
-    b_idx, pix = np.nonzero(x.reshape(batch, -1))
-    updates = 0
+    n_rows = batch * layer.geometry.p
+    q_all, k_all = _event_contributions(layer, x)
     out2d: Optional[np.ndarray] = None
-    if b_idx.size:
-        valid = g.contrib_valid[pix]
-        k_all = g.contrib_k[pix][valid]
-        q_all = (b_idx[:, None].astype(np.int64) * g.p + g.contrib_p[pix])[valid]
-        updates = int(k_all.size)
+    if k_all.size:
         order = np.argsort(k_all, kind="stable")
         k_sorted = k_all[order]
         q_sorted = q_all[order]
@@ -275,92 +316,48 @@ def event_conv_blocked(
             else:
                 np.add(out2d, partial, out=out2d)
     if out2d is None:
-        out2d = np.zeros((n_rows, cout), dtype=np.float32)
-    current = np.ascontiguousarray(
-        out2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
-    ).reshape(batch, cout, g.oh, g.ow)
+        out2d = np.zeros((n_rows, layer.out_channels), dtype=np.float32)
+    current = _rows_to_nchw(out2d, layer, batch)
     np.add(current, layer.bias.reshape(1, -1, 1, 1), out=current)
-    return current, updates
+    return current, int(k_all.size)
 
 
 # ---------------------------------------------------------------------------
-# Integer (int32-accumulation) path for quantized deployables
+# Integer datapath for quantized deployables
 # ---------------------------------------------------------------------------
 
 def _dequantize_current(acc: np.ndarray, layer: LayerPlan) -> np.ndarray:
     """Layer-boundary dequantization of a (B, Cout, OH, OW) accumulator.
 
-    The documented rounding rule (see :mod:`repro.quant.quantizer`): one
+    ``acc`` holds exact integers in float32 (the engine only routes here
+    when ``layer.int_overflow_ok``) and is dequantized in place by the
+    documented rounding rule (see :mod:`repro.quant.quantizer`): one
     float32 multiply by the scale, one float32 bias add, IEEE-754
-    round-half-to-even at each step. The int32 -> float32 cast is exact
-    because the engine only routes here when ``layer.int_overflow_ok``.
+    round-half-to-even at each step.
     """
-    current = acc.astype(np.float32)
     scale = layer.wq_scale
     if scale.ndim == 0:
-        np.multiply(current, scale, out=current)
+        np.multiply(acc, scale, out=acc)
     else:
-        np.multiply(current, scale.reshape(1, -1, 1, 1), out=current)
-    np.add(current, layer.bias.reshape(1, -1, 1, 1), out=current)
-    return current
-
-
-def _scatter_columns_int(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    weight_rows: np.ndarray,
-    n_rows: int,
-    backend: str,
-) -> np.ndarray:
-    """Integer twin of :func:`_scatter_columns`: int32 in, int32 out.
-
-    No sorting and no k-blocking: integer addition is associative, so
-    every accumulation order yields the same exact int32 sums (given the
-    overflow bound the dispatcher enforces) -- the order discipline the
-    float scatter needs simply has nothing to protect here.
-    """
-    if backend == "scipy":
-        matrix = _sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.int32), (rows, cols)),
-            shape=(n_rows, weight_rows.shape[0]),
-        )
-        return matrix @ weight_rows
-    out = np.zeros((n_rows, weight_rows.shape[1]), dtype=np.int32)
-    if rows.size:
-        np.add.at(out, rows, weight_rows[cols])
-    return out
+        np.multiply(acc, scale.reshape(1, -1, 1, 1), out=acc)
+    np.add(acc, layer.bias.reshape(1, -1, 1, 1), out=acc)
+    return acc
 
 
 def event_conv_int(
     layer: LayerPlan, x: np.ndarray, backend: str
 ) -> Tuple[np.ndarray, int]:
-    """Event-driven convolution with int32 accumulation.
+    """Event-driven convolution on the integer datapath.
 
     Same contract as :func:`event_conv` -- (current, updates) -- but the
-    scatter accumulates the layer's quantized int32 weight rows and the
+    scatter accumulates the layer's integer-valued weight rows and the
     float current is produced by a single boundary dequantization. This
     is the software twin of the paper's integer datapath: binary spikes
-    select quantized weight columns, the accumulator is an integer, and
-    the shift-and-add de-quantizer runs once per output element.
+    select quantized weight columns, the accumulator holds integers, and
+    the shift-and-add de-quantizer runs once per output element. Always
+    unblocked: under the overflow bound every fold order is exact.
     """
-    g = layer.geometry
-    batch = x.shape[0]
-    cout = layer.out_channels
-    b_idx, pix = np.nonzero(x.reshape(batch, -1))
-    updates = 0
-    if b_idx.size == 0:
-        acc2d = np.zeros((batch * g.p, cout), dtype=np.int32)
-    else:
-        valid = g.contrib_valid[pix]
-        k_all = g.contrib_k[pix][valid]
-        q_all = (b_idx[:, None].astype(np.int64) * g.p + g.contrib_p[pix])[valid]
-        updates = int(k_all.size)
-        acc2d = _scatter_columns_int(
-            q_all, k_all, layer.wqT_i32(), batch * g.p, backend
-        )
-    acc = np.ascontiguousarray(
-        acc2d.reshape(batch, g.p, cout).transpose(0, 2, 1)
-    ).reshape(batch, cout, g.oh, g.ow)
+    acc, updates = _event_scatter(layer, x, layer.wqT, backend)
     return _dequantize_current(acc, layer), updates
 
 
@@ -370,42 +367,14 @@ def dense_conv_int(
     buffers: Optional[BufferPool] = None,
     max_elements: int = 1 << 24,
 ) -> np.ndarray:
-    """Unfold-matmul convolution with int32 accumulation.
+    """Unfold-matmul convolution on the integer datapath.
 
-    The im2col gather casts the binary float input to int32 (exact for
-    0/1 values) and the GEMM runs entirely in int32; associativity makes
-    the result identical to :func:`event_conv_int` by construction, so
-    no blocked variant is needed at any depth. Numpy's integer matmul
-    has no BLAS backing, so this kernel trades speed for an exact
-    integer fold -- the cost model decides when that trade is worth it.
+    One BLAS GEMM over the integer-valued weights, then the boundary
+    dequantization. Under the overflow bound every partial sum is an
+    exact integer, so the result equals :func:`event_conv_int` bit for
+    bit at any depth, without a blocked fold.
     """
-    g = layer.geometry
-    batch = x.shape[0]
-    cout = layer.out_channels
-    kernel = g.kernel
-    acc = np.empty((batch, cout, g.p), dtype=np.int32)
-    chunk = max(1, min(batch, max_elements // max(1, g.k * g.p)))
-    wq = layer.wq_i32()
-    for start in range(0, batch, chunk):
-        stop = min(batch, start + chunk)
-        xc = x[start:stop]
-        if g.padding:
-            p = g.padding
-            xc = np.pad(xc, ((0, 0), (0, 0), (p, p), (p, p)))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            xc, (kernel, kernel), axis=(2, 3)
-        )
-        if buffers is not None:
-            cols = buffers.get("cols_i32", (stop - start, g.k, g.p), np.int32)
-        else:
-            cols = np.empty((stop - start, g.k, g.p), dtype=np.int32)
-        np.copyto(
-            cols.reshape(stop - start, g.cin, kernel, kernel, g.oh, g.ow),
-            windows.transpose(0, 1, 4, 5, 2, 3),
-            casting="unsafe",
-        )
-        np.matmul(wq, cols, out=acc[start:stop])
-    acc = acc.reshape(batch, cout, g.oh, g.ow)
+    acc = _unfold_matmul(layer, x, layer.wq, buffers, max_elements)
     return _dequantize_current(acc, layer)
 
 

@@ -148,10 +148,11 @@ class LayerPlan:
     bn_gamma: Optional[np.ndarray] = None
     bn_beta: Optional[np.ndarray] = None
     # Integer lowering (quantized deployables only): the quantized weight
-    # matrix in its narrowest storage dtype (int8 when |q| <= 127, int16
-    # for wider schemes) and its dequantization scale(s). The int32
-    # compute twins are built lazily via wq_i32 / wqT_i32.
-    wq: Optional[np.ndarray] = None  # (Cout, K) int8/int16
+    # matrix as integer-valued float32 (exact: |q| <= 2^15), its
+    # contiguous transpose for the event scatter, and the
+    # dequantization scale(s).
+    wq: Optional[np.ndarray] = None  # (Cout, K) integer-valued float32
+    wqT: Optional[np.ndarray] = None  # (K, Cout) contiguous transpose of wq
     wq_scale: Optional[np.ndarray] = None  # float32 scalar or (Cout,)
     # Lazily built per-block weight slices, keyed by block size.
     _block_tables: Dict[int, BlockTables] = field(
@@ -160,10 +161,7 @@ class LayerPlan:
     # Measured dispatch-cost state (repro.runtime.costmodel), seeded by a
     # one-shot probe and refined online; never persisted.
     cost_state: Optional[object] = field(default=None, repr=False, compare=False)
-    # Lazy int32 compute twins of wq (dense matmul / event scatter rows).
-    _wq_i32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _wqT_i32: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # Cached worst-case |int32 accumulator| for binary inputs (int64).
+    # Cached worst-case |accumulator| for binary inputs (int64).
     _int_bound: Optional[int] = field(default=None, repr=False, compare=False)
     # Bit-exactness verdicts of the integer path vs the float reference,
     # keyed by scatter backend ('scipy' | 'numpy'). Weight-dependent, so
@@ -199,24 +197,13 @@ class LayerPlan:
     def int_overflow_ok(self) -> bool:
         """True when every binary-input partial sum is exact in float32.
 
-        The bound also sits far inside int32, so passing it rules out
-        wraparound and inexact boundary dequantization at once.
+        Every partial sum is a subset sum of one channel's weights, so
+        its magnitude never exceeds ``int_bound``; at most 2^24 it is an
+        integer float32 represents exactly, whatever the fold order.
         """
         from repro.quant.quantizer import INT_ACCUMULATION_LIMIT
 
         return self.has_int_lowering and self.int_bound <= INT_ACCUMULATION_LIMIT
-
-    def wq_i32(self) -> np.ndarray:
-        """(Cout, K) int32 twin of ``wq`` for the dense integer fold."""
-        if self._wq_i32 is None:
-            self._wq_i32 = np.ascontiguousarray(self.wq, dtype=np.int32)
-        return self._wq_i32
-
-    def wqT_i32(self) -> np.ndarray:
-        """(K, Cout) contiguous int32 twin for the event scatter rows."""
-        if self._wqT_i32 is None:
-            self._wqT_i32 = np.ascontiguousarray(self.wq.T, dtype=np.int32)
-        return self._wqT_i32
 
     def block_tables(self, block: int) -> BlockTables:
         """The (cached) per-block weight slices for ``block``-sized k-folds."""
@@ -304,20 +291,18 @@ def attach_int_lowering(
 ) -> None:
     """Carry a conv layer's quantized weights into its plan.
 
-    Stores the (Cout, K) quantized matrix in the narrowest integer dtype
-    that holds it (int8 up to |q| <= 127) plus the float32 scale(s); the
-    int32 compute twins and the overflow bound are derived lazily. The
-    exactness probe (``runtime.kernels.calibrate_int_exact``) and the
-    engine decide per step whether this lowering actually runs.
+    Stores the (Cout, K) quantized matrix and its transpose as
+    integer-valued float32, the operands the float kernels accumulate
+    exactly under the overflow bound (quantized weights are at most
+    16-bit, so the cast is exact), plus the float32 scale(s); the
+    overflow bound is derived lazily. The exactness probe
+    (``runtime.kernels.calibrate_int_exact``) and the engine decide per
+    step whether this lowering actually runs.
     """
-    q = np.asarray(weight_q)
-    q2d = q.reshape(q.shape[0], -1)
-    max_abs = int(np.abs(q2d).max()) if q2d.size else 0
-    dtype = np.int8 if max_abs <= 127 else np.int16
-    plan.wq = np.ascontiguousarray(q2d, dtype=dtype)
+    q = np.asarray(weight_q, dtype=np.float32)
+    plan.wq = np.ascontiguousarray(q.reshape(q.shape[0], -1))
+    plan.wqT = np.ascontiguousarray(plan.wq.T)
     plan.wq_scale = np.asarray(weight_scale, dtype=np.float32)
-    plan._wq_i32 = None
-    plan._wqT_i32 = None
     plan._int_bound = None
     plan._int_exact = {}
 
@@ -329,7 +314,8 @@ def plan_deployable(network) -> NetworkPlan:
     ``effective_weight()`` materialisation of the legacy loop is hoisted
     into the plan. Quantized conv layers additionally carry their integer
     weights + scales (see :func:`attach_int_lowering`) so the engine can
-    run them with int32 accumulation instead of dequantized floats.
+    accumulate integers and dequantize once per output instead of
+    running on dequantized floats.
     """
     layers: List[LayerPlan] = []
     for layer in network.layers:

@@ -27,10 +27,11 @@ dispatch counters additionally explains every dense *decision* taken at
 runtime (density vs calibration vs cost vs forced).
 
 Sidecar format history: ``network-plan-v4`` (current) additionally
-persists each quantized conv layer's integer lowering -- the int8/int16
-weight matrix, its dequantization scale(s), the integer bit-exactness
-verdict and overflow bound, and (when the verdict passed) the int kernel
-cost rates -- so cold loaders restore the full integer datapath without
+persists each quantized conv layer's integer lowering -- the quantized
+weight matrix (float32; sidecars from older writers hold it as
+int8/int16, and their ``int.cost`` rates are ignored), its
+dequantization scale(s), the integer bit-exactness verdict and overflow
+bound -- so cold loaders restore the full integer datapath without
 re-probing; ``network-plan-v3`` extended each event-eligible calibration
 entry with the probe-seeded dispatch cost-model rates (dense ms/sample,
 event ms/update -- see :mod:`repro.runtime.costmodel`), trusted under
@@ -59,11 +60,7 @@ import numpy as np
 
 from repro.errors import ReproError, RuntimeUnsupportedError
 from repro.runtime.config import runtime_config
-from repro.runtime.costmodel import (
-    LayerCostState,
-    ensure_cost_state,
-    ensure_int_rates,
-)
+from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
     calibrate_event_exact,
     calibrate_int_exact,
@@ -74,7 +71,12 @@ from repro.runtime.kernels import (
     seed_calibration,
     seed_int_exact,
 )
-from repro.runtime.plan import LayerPlan, NetworkPlan, conv_geometry
+from repro.runtime.plan import (
+    LayerPlan,
+    NetworkPlan,
+    attach_int_lowering,
+    conv_geometry,
+)
 from repro.utils.serialization import load_npz, save_npz
 
 PLAN_SIDECAR_SUFFIX = ".plan.npz"
@@ -224,25 +226,11 @@ def save_plan(
                 }
             if layer.has_int_lowering:
                 # Integer datapath verdicts (v4): the per-layer
-                # bit-exactness probe and overflow bound, plus -- only
-                # when the probe passed, the sole case the dispatcher
-                # consults them -- the int kernel cost rates.
-                int_exact = calibrate_int_exact(layer, backend, block)
-                int_entry: Dict[str, object] = {
-                    "exact": bool(int_exact),
+                # bit-exactness probe and the overflow bound.
+                entry["int"] = {
+                    "exact": bool(calibrate_int_exact(layer, backend, block)),
                     "bound": int(layer.int_bound),
                 }
-                if int_exact:
-                    state = ensure_int_rates(layer, backend, block or None)
-                    int_entry["cost"] = {
-                        "int_dense_ms_per_sample": float(
-                            state.int_dense_ms_per_sample
-                        ),
-                        "int_event_ms_per_update": float(
-                            state.int_event_ms_per_update
-                        ),
-                    }
-                entry["int"] = int_entry
             meta["calibration"].append(entry)
     save_npz(path, arrays, meta)
 
@@ -303,9 +291,8 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
         # ("has_int" absent), so quantized plans loaded from them run
         # float-only until the sidecar is rebuilt.
         if info.get("has_int"):
-            layer.wq = np.ascontiguousarray(arrays[f"{prefix}.wq"])
-            layer.wq_scale = np.ascontiguousarray(
-                arrays[f"{prefix}.wq_scale"]
+            attach_int_lowering(
+                layer, arrays[f"{prefix}.wq"], arrays[f"{prefix}.wq_scale"]
             )
         layers.append(layer)
     plan = NetworkPlan(
@@ -338,8 +325,7 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
                     dense_ms_per_sample=float(cost["dense_ms_per_sample"]),
                     event_ms_per_update=float(cost["event_ms_per_update"]),
                 )
-            # v4 sidecars carry the integer bit-exactness verdict (and,
-            # when it passed, the int kernel rates). The verdict is
+            # v4 sidecars carry the integer bit-exactness verdict. It is
             # weight-dependent, so it is seeded per layer object, not
             # into the shape-keyed calibration cache.
             int_entry = entry.get("int")
@@ -352,14 +338,6 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
                         entry.get("block"),
                         bool(int_entry["exact"]),
                     )
-                    int_cost = int_entry.get("cost")
-                    if int_cost is not None and conv.cost_state is not None:
-                        conv.cost_state.int_dense_ms_per_sample = float(
-                            int_cost["int_dense_ms_per_sample"]
-                        )
-                        conv.cost_state.int_event_ms_per_update = float(
-                            int_cost["int_event_ms_per_update"]
-                        )
     return plan
 
 

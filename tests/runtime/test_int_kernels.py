@@ -1,19 +1,22 @@
-"""Integer datapath: int32-accumulating kernels, probes and dispatch.
+"""Integer datapath: exact integer accumulation, probes and dispatch.
 
 Quantized deployables historically dequantized to float32 and ran the
 float kernels -- the "int8" runtime was float inference in disguise.
-These tests pin the actual integer lowering: the int kernels' mutual
-exactness (integer addition is associative, so dense and event int
-always agree), the bit-exactness probe that decides whether the integer
-path may replace float under ``int_kernels='auto'``, the overflow bound
-that gates every integer dispatch, and the per-layer counter
-attribution of every int/float decision.
+These tests pin the actual integer lowering: the int kernels' exactness
+against an int64 reference fold (under the overflow bound every partial
+sum is an exact integer, so dense and event int always agree), the
+bit-exactness probe that decides whether the integer path may replace
+float under ``int_kernels='auto'``, the overflow bound that gates every
+integer dispatch, and the per-layer counter attribution of every
+int/float decision.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.quant import INT8_P2, convert, quantize_array
+from repro.quant import INT8_P2, INT_ACCUMULATION_LIMIT, convert, quantize_array
 from repro.quant.schemes import scheme_by_name
 from repro.runtime import (
     InferenceEngine,
@@ -54,6 +57,34 @@ def make_int_layer(cin, h, w, cout, seed=0, pow2=True):
     return layer
 
 
+def lowered_layer(cin, h, w, cout, qmax, seed=0):
+    """A conv plan carrying a lowering of uniform integers in
+    [-qmax, qmax] with per-channel scales (qmax > 127 is int16-wide)."""
+    layer = make_conv_layer_plan(cin, h, w, cout, seed=seed)
+    rng = np.random.default_rng(seed)
+    q = rng.integers(-qmax, qmax + 1, size=(cout, layer.geometry.k))
+    scale = rng.uniform(1e-3, 1e-2, cout).astype(np.float32)
+    attach_int_lowering(layer, q, scale)
+    return layer
+
+
+def int64_oracle(layer, x):
+    """Reference integer fold: im2col through the plan geometry, an
+    int64 matmul of the quantized weights, then the documented
+    dequantization (one float32 scale multiply, one bias add)."""
+    g = layer.geometry
+    pad = g.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xp, (g.kernel, g.kernel), axis=(2, 3)
+    )
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], g.k, g.p)
+    acc = layer.wq.astype(np.int64) @ cols.astype(np.int64)
+    current = acc.astype(np.float32).reshape(x.shape[0], -1, g.oh, g.ow)
+    scale = layer.wq_scale.reshape((1, -1, 1, 1) if layer.wq_scale.ndim else ())
+    return current * scale + layer.bias.reshape(1, -1, 1, 1)
+
+
 @pytest.fixture(scope="module")
 def backend():
     return resolve_event_backend(runtime_config().event_backend)
@@ -71,6 +102,23 @@ class TestIntKernels:
             event, updates = event_conv_int(layer, x, backend)
             assert np.array_equal(dense, event)
             assert updates >= 0
+
+    @pytest.mark.parametrize("cin", [3, 64, 256])  # K = 27, 576, 2304
+    @pytest.mark.parametrize("qmax", [127, 32767])  # int8 / int16 widths
+    def test_kernels_match_int64_oracle(self, backend, cin, qmax):
+        """Both int flavours equal the int64 reference fold byte for
+        byte, up to paper depth, at every density."""
+        k = cin * 9
+        qmax = min(qmax, INT_ACCUMULATION_LIMIT // k)
+        layer = lowered_layer(cin, 4, 4, 16, qmax, seed=cin)
+        assert layer.geometry.k == k
+        assert layer.int_overflow_ok
+        for density in (0.02, 0.3, 1.0):
+            x = binary_batch((cin, 4, 4), density, seed=cin, batch=2)
+            want = int64_oracle(layer, x).tobytes()
+            assert dense_conv_int(layer, x).tobytes() == want
+            event, _ = event_conv_int(layer, x, backend)
+            assert event.tobytes() == want
 
     def test_pow2_layer_matches_float_bit_exactly(self, backend):
         layer = make_int_layer(8, 6, 6, 12, seed=4, pow2=True)
@@ -115,11 +163,42 @@ class TestOverflowGate:
         attach_int_lowering(layer, q, np.float32(2.0**-20))
         return layer
 
-    def test_bound_exceeds_limit(self):
-        from repro.quant import INT_ACCUMULATION_LIMIT
+    def _limit_layer(self, excess):
+        """Two opposite channels whose L1 norm is exactly
+        ``INT_ACCUMULATION_LIMIT + excess``."""
+        layer = make_conv_layer_plan(64, 4, 4, 2, seed=21)
+        layer.bias = np.zeros(2, dtype=np.float32)
+        k = layer.geometry.k
+        q = np.full((2, k), INT_ACCUMULATION_LIMIT // k, dtype=np.int64)
+        q[0, : INT_ACCUMULATION_LIMIT - int(q[0].sum()) + excess] += 1
+        q[1] = -q[0]
+        attach_int_lowering(layer, q, np.float32(1.0))
+        assert layer.int_bound == INT_ACCUMULATION_LIMIT + excess
+        return layer
 
+    def test_channel_l1_at_limit_is_exact(self, backend):
+        """All inputs active: the centre outputs accumulate the whole
+        channel, reaching exactly 2^24, and every fold stays exact."""
+        layer = self._limit_layer(0)
+        assert layer.int_overflow_ok
+        x = np.ones((1, 64, 4, 4), dtype=np.float32)
+        want = int64_oracle(layer, x)
+        assert want[0, 0, 1, 1] == INT_ACCUMULATION_LIMIT
+        assert want[0, 1, 1, 1] == -INT_ACCUMULATION_LIMIT
+        assert dense_conv_int(layer, x).tobytes() == want.tobytes()
+        event, _ = event_conv_int(layer, x, backend)
+        assert event.tobytes() == want.tobytes()
+
+    def test_channel_l1_past_limit_is_refused(self, backend):
+        layer = self._limit_layer(1)
+        assert not layer.int_overflow_ok
+        assert calibrate_int_exact(layer, backend) is False
+
+    def test_bound_exceeds_limit(self):
         layer = self._overflowing_layer()
-        assert layer.wq.dtype == np.int16
+        # Stored as integer-valued float32, the kernels' operand dtype.
+        assert layer.wq.dtype == np.float32
+        assert np.array_equal(layer.wq, np.full_like(layer.wq, 32767))
         assert layer.int_bound > INT_ACCUMULATION_LIMIT
         assert not layer.int_overflow_ok
 
@@ -217,6 +296,31 @@ class TestEngineIntegration:
         assert sum(c.int_dense_steps for c in counters.values()) == 0
         assert sum(c.float_exactness_steps for c in counters.values()) > 0
 
+    @pytest.mark.parametrize("policy", ["cost", "density"])
+    def test_auto_runs_both_flavours_without_cost_arbitration(
+        self, int_model, policy
+    ):
+        """Under 'auto' a layer whose bound and probe pass runs int for
+        dense and event steps alike, whatever the dispatch policy."""
+        images = np.random.default_rng(14).random((4, 3, 8, 8))
+        images = images.astype(np.float32)
+        encoder = RateEncoder(seed=0)
+        with runtime_overrides(int_kernels="off"):
+            want = int_model.forward(images, 4, encoder)
+        with runtime_overrides(
+            int_kernels="auto",
+            dispatch_policy=policy,
+            dispatch_threshold=0.25,
+        ):
+            got = int_model.forward(images, 4, encoder)
+        assert np.array_equal(got.logits, want.logits)
+        counters = got.runtime_counters.values()
+        assert sum(c.int_dense_steps for c in counters) > 0
+        assert all(
+            c.float_exactness_steps == c.float_overflow_steps == 0
+            for c in counters
+        )
+
     def test_off_mode_never_runs_int(self, int_model, images):
         with runtime_overrides(int_kernels="off", dispatch_policy="density"):
             out = int_model.forward(images, 4, RateEncoder(seed=0))
@@ -262,14 +366,14 @@ class TestCounters:
         c = LayerCounters()
         c.count_float_fallback("exactness", 2)
         c.count_float_fallback("overflow")
-        c.count_float_fallback("cost", 3)
         assert c.float_exactness_steps == 2
         assert c.float_overflow_steps == 1
-        assert c.float_cost_steps == 3
 
     def test_unknown_reason_rejected(self):
-        with pytest.raises(ValueError):
-            LayerCounters().count_float_fallback("vibes")
+        # 'cost' included: no cost arbitration of the int path remains.
+        for reason in ("vibes", "cost"):
+            with pytest.raises(ValueError):
+                LayerCounters().count_float_fallback(reason)
 
     def test_as_dict_and_merge_carry_int_fields(self):
         a = LayerCounters()
@@ -287,3 +391,8 @@ class TestCounters:
         assert d["int_event_updates"] == 30
         assert d["float_overflow_steps"] == 1
         assert d["float_exactness_steps"] == 4
+        # Every dataclass field, not just the int ones, is carried.
+        names = [f.name for f in dataclasses.fields(LayerCounters)]
+        a = LayerCounters(**{n: i + 1 for i, n in enumerate(names)})
+        a.merge(LayerCounters(**{n: 10 * (i + 1) for i, n in enumerate(names)}))
+        assert a.as_dict() == {n: 11 * (i + 1) for i, n in enumerate(names)}

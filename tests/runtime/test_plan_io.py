@@ -601,23 +601,15 @@ class TestSchemaCompat:
     def test_v4_persists_integer_lowering(
         self, network, images, tmp_path, monkeypatch
     ):
-        """A quantized plan's int8 weights, scales, exactness verdicts
-        and int cost rates all come back from the sidecar -- cold
-        loaders never re-run the integer probes."""
+        """A quantized plan's int8 weights, scales and exactness
+        verdicts all come back from the sidecar -- cold loaders never
+        re-run the integer probes."""
         from repro.quant import INT8_P2
-        from repro.runtime import costmodel
-        from repro.runtime.kernels import resolve_event_backend
 
         live = plan_deployable(convert(network, INT8_P2))
-        backend = resolve_event_backend("auto")
         path = str(tmp_path / "int.plan.npz")
         save_plan(live, path)
         loaded = load_plan(path)
-        monkeypatch.setattr(
-            costmodel,
-            "probe_int_rates",
-            lambda *a, **k: pytest.fail("int probe ran despite sidecar"),
-        )
         from repro.runtime import kernels
 
         monkeypatch.setattr(
@@ -644,15 +636,40 @@ class TestSchemaCompat:
                     kernels.calibrate_int_exact(got, b, block or None)
                     == verdict
                 )
-            if want.cost_state is not None and (
-                want.cost_state.int_event_ms_per_update is not None
-            ):
-                assert got.cost_state is not None
-                assert (
-                    got.cost_state.int_event_ms_per_update
-                    == want.cost_state.int_event_ms_per_update
-                )
         assert seen_int  # the quantized plan did carry a lowering
+
+    def test_v4_sidecar_with_int_cost_rates_loads(
+        self, network, images, tmp_path
+    ):
+        """Older v4 writers stored the lowering as int8/int16 and added
+        int kernel cost rates; such sidecars load unchanged (the rates
+        are ignored) and give byte-equal outputs on the integer path."""
+        from repro.quant import INT8_P2
+
+        live = plan_deployable(convert(network, INT8_P2))
+        path = str(tmp_path / "int-cost.plan.npz")
+        save_plan(live, path)
+        arrays, meta = load_npz(path)
+        for name in [k for k in arrays if k.endswith(".wq")]:
+            arrays[name] = arrays[name].astype(np.int8)
+        int_entries = [e["int"] for e in meta["calibration"] if "int" in e]
+        assert int_entries
+        for int_entry in int_entries:
+            int_entry["cost"] = {
+                "int_dense_ms_per_sample": 1.0,
+                "int_event_ms_per_update": 1e-3,
+            }
+        save_npz(path, arrays, meta)
+        loaded = load_plan(path)
+        for got, want in zip(loaded.layers, live.layers):
+            if want.has_int_lowering:
+                assert got.wq.dtype == np.float32
+                assert np.array_equal(got.wq, want.wq)
+        want = engine_outputs(live, images)
+        got = engine_outputs(loaded, images)
+        assert got.accumulated.tobytes() == want.accumulated.tobytes()
+        assert got.stats.per_layer == want.stats.per_layer
+        assert sum(c.int_dense_steps for c in got.counters.values()) > 0
 
     def test_v3_sidecar_drops_integer_lowering_but_loads(
         self, network, images, tmp_path
