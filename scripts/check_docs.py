@@ -2,7 +2,8 @@
 
 The configuration surface is declared once, in
 :mod:`repro.analysis.registry`. This gate holds three parties to that
-declaration and fails with exit code 1 on any disagreement:
+declaration, plus one naming rule, and fails with exit code 1 on any
+disagreement:
 
 1. **source tree vs registry** -- every ``REPRO_*`` token in ``src/``,
    ``scripts/`` and ``benchmarks/`` must be registered, and every
@@ -12,7 +13,11 @@ declaration and fails with exit code 1 on any disagreement:
    ``snn-hybrid`` CLI (all subcommands) must be registered, and every
    registered flag must exist on the parser;
 3. **registry vs docs** -- every registered token must appear in
-   ``docs/CONFIGURATION.md``.
+   ``docs/CONFIGURATION.md``;
+4. **plan sidecar format** -- the only ``network-plan-vN`` name that
+   ``docs/`` and ``src/`` may mention is the current
+   :data:`repro.runtime.plan_io.PLAN_FORMAT` (sidecars of any other
+   format are rebuilt, so older names describe nothing that exists).
 
 So a new knob cannot land without being registered *and* documented.
 ``repro lint`` enforces (1) and (2) statically per-file (rules
@@ -35,6 +40,8 @@ if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 CONFIG_DOC = os.path.join(REPO_ROOT, "docs", "CONFIGURATION.md")
+
+_PLAN_FORMAT_RE = re.compile(r"network-plan-v\d+")
 
 
 def _walk_options(parser: argparse.ArgumentParser) -> Iterator[str]:
@@ -69,6 +76,26 @@ def _is_documented(token: str, documented: str) -> bool:
         )
         is not None
     )
+
+
+def plan_format_drift(root: str, current: str) -> List[str]:
+    """``path:line: name`` for every plan-format name under ``root``'s
+    ``docs/`` and ``src/`` other than ``current``."""
+    found: List[str] = []
+    for top in ("docs", "src"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for filename in sorted(filenames):
+                if not filename.endswith((".py", ".md")):
+                    continue
+                path = os.path.join(dirpath, filename)
+                with open(path, "r", encoding="utf-8") as handle:
+                    for lineno, line in enumerate(handle, 1):
+                        for name in _PLAN_FORMAT_RE.findall(line):
+                            if name != current:
+                                rel = os.path.relpath(path, root)
+                                found.append(f"{rel}:{lineno}: {name}")
+    return found
 
 
 def main() -> int:
@@ -116,6 +143,15 @@ def main() -> int:
                 f"DOCS DRIFT: {kind} {token} is registered but missing "
                 f"from docs/CONFIGURATION.md"
             )
+
+    # 4. plan sidecar format names vs the current constant
+    from repro.runtime.plan_io import PLAN_FORMAT
+
+    for hit in plan_format_drift(REPO_ROOT, PLAN_FORMAT):
+        problems.append(
+            f"FORMAT DRIFT: {hit} is not the current plan sidecar format "
+            f"{PLAN_FORMAT}"
+        )
 
     for problem in problems:
         print(problem, file=sys.stderr)

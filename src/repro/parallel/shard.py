@@ -287,8 +287,9 @@ def load_deployable_with_plan(path: str):
     When ``<stem>.plan.npz`` exists next to the artifact, the lowered
     plan is attached and the calibration cache seeded -- the cold-start
     path the sharded workers take. A sidecar that is stale (model digest
-    mismatch after a retrain), corrupt or otherwise unusable is ignored;
-    the model then lowers itself live on first forward.
+    mismatch after a retrain), of another format, corrupt or otherwise
+    unusable is ignored; the model then lowers itself live on first
+    forward.
     """
     from repro.errors import ReproError
     from repro.quant.convert import DeployableNetwork

@@ -74,7 +74,6 @@ from repro.runtime.kernels import (
     resolve_event_backend,
     resolve_event_block,
     seed_block_resolution,
-    seed_calibration,
     seed_int_exact,
 )
 from repro.runtime.plan import (
@@ -128,7 +127,6 @@ __all__ = [
     "runtime_overrides",
     "save_plan",
     "seed_block_resolution",
-    "seed_calibration",
     "seed_int_exact",
     "set_runtime_config",
     "stack_encoder_frames",

@@ -36,11 +36,11 @@ exactness probe alone: the integer flavours run the same BLAS-backed
 kernels on integer-valued weights, so there is no speed trade to
 measure.
 
-Persistence: ``network-plan-v3`` sidecars (:mod:`repro.runtime.plan_io`)
-carry each event-eligible layer's probe-seeded rates, gated by the same
-environment fingerprint as the calibration verdicts, so cold-started
-workers skip the seeding probe GEMMs and their first routed timestep is
-already informed by measured rates (then refined online as usual).
+Persistence: none. The rates are timings of the process that measured
+them -- fresh processes seed the same layer differently, and the online
+EMA then settles far from either seed -- so plan sidecars
+(:mod:`repro.runtime.plan_io`) never store them. Each process probes a
+layer once, on the first timestep the cost model is consulted for it.
 """
 
 from __future__ import annotations

@@ -390,8 +390,8 @@ def calibrate_int_exact(
     so a mismatch between them would indicate a kernel bug rather than a
     fold-order effect. The verdict depends on the weight values (through
     the scales), so it is cached per layer -- keyed by (backend, block)
-    -- not in the per-shape calibration cache; sidecars persist it via
-    :func:`seed_int_exact` with the same live-wins semantics.
+    -- not in the per-shape calibration cache; sidecars persist it and
+    loaders seed it through :func:`seed_int_exact`, live-wins.
 
     Power-of-two scales (``QuantScheme.pow2_scale``) pass by
     construction: the dequantized weights and every float32 partial sum
@@ -459,16 +459,6 @@ def calibration_key(layer: LayerPlan, backend: str) -> Tuple:
         g.cin, g.height, g.width, g.kernel, g.padding,
         layer.out_channels, backend,
     )
-
-
-def seed_calibration(key: Tuple, exact: bool) -> None:
-    """Pre-populate the calibration cache (plan persistence fast path).
-
-    A verdict already probed live in this process wins over a seeded one,
-    so loading a stale sidecar can never *upgrade* a shape to the event
-    path that the current environment has disproven.
-    """
-    _CALIBRATION_CACHE.setdefault(tuple(key), bool(exact))
 
 
 def calibrate_event_exact(layer: LayerPlan, backend: str) -> bool:
@@ -581,12 +571,16 @@ def resolve_event_block(
 def seed_block_resolution(key: Tuple, block: Optional[int]) -> None:
     """Pre-populate the auto block choice (plan persistence fast path).
 
-    Same live-wins semantics as :func:`seed_calibration`: a resolution
-    probed in this process is never overwritten by a sidecar. A seeded
-    positive block also seeds its (shape, block) exactness verdict, so a
-    cold worker runs zero probe GEMMs for shapes its sidecar settled.
+    The auto resolution is ``0`` exactly when the unblocked probe passed,
+    so the choice also seeds the unblocked verdict (``block == 0``), and
+    a positive block seeds its (shape, block) exactness verdict: a cold
+    worker runs zero probe GEMMs for shapes its sidecar settled. Live
+    wins: a verdict or resolution already probed in this process is never
+    overwritten, so a stale sidecar can never *upgrade* a shape to the
+    event path that the current environment has disproven.
     """
     key = tuple(key)
+    _CALIBRATION_CACHE.setdefault(key, block == 0)
     if key not in _BLOCK_CHOICE_CACHE:
         _BLOCK_CHOICE_CACHE[key] = None if block is None else int(block)
         if block:

@@ -159,14 +159,15 @@ class LayerPlan:
         default_factory=dict, repr=False, compare=False
     )
     # Measured dispatch-cost state (repro.runtime.costmodel), seeded by a
-    # one-shot probe and refined online; never persisted.
+    # one-shot probe and refined online; wall-clock dependent, so never
+    # persisted in plan sidecars.
     cost_state: Optional[object] = field(default=None, repr=False, compare=False)
     # Cached worst-case |accumulator| for binary inputs (int64).
     _int_bound: Optional[int] = field(default=None, repr=False, compare=False)
     # Bit-exactness verdicts of the integer path vs the float reference,
-    # keyed by scatter backend ('scipy' | 'numpy'). Weight-dependent, so
-    # cached per layer (not per shape); seedable from plan sidecars.
-    _int_exact: Dict[str, bool] = field(
+    # keyed by (scatter backend, k-block; 0 = unblocked). Weight-dependent,
+    # so cached per layer (not per shape); seedable from plan sidecars.
+    _int_exact: Dict[Tuple[str, int], bool] = field(
         default_factory=dict, repr=False, compare=False
     )
 

@@ -6,7 +6,7 @@ per-shape BLAS-fold *calibration* probes that decide event-path
 eligibility. Both are deterministic, so they can be captured once and
 shipped next to the deployable ``.npz``: :func:`save_plan` writes a
 ``<model>.plan.npz`` sidecar holding the lowered weight matrices, bias
-and BN constants plus the calibration verdict of every conv shape;
+and BN constants plus the calibration outcome of every conv shape;
 :func:`load_plan` rebuilds the plan without touching the network (the
 im2col geometry is recomputed through the shared process-wide cache --
 pure index math, paid once per shape per process) and seeds the
@@ -26,25 +26,15 @@ configuration at all and stay on the dense fallback. Passing a run's
 dispatch counters additionally explains every dense *decision* taken at
 runtime (density vs calibration vs cost vs forced).
 
-Sidecar format history: ``network-plan-v4`` (current) additionally
-persists each quantized conv layer's integer lowering -- the quantized
-weight matrix (float32; sidecars from older writers hold it as
-int8/int16, and their ``int.cost`` rates are ignored), its
-dequantization scale(s), the integer bit-exactness verdict and overflow
-bound -- so cold loaders restore the full integer datapath without
-re-probing; ``network-plan-v3`` extended each event-eligible calibration
-entry with the probe-seeded dispatch cost-model rates (dense ms/sample,
-event ms/update -- see :mod:`repro.runtime.costmodel`), trusted under
-the same environment fingerprint as the calibration verdicts and refined
-online after loading, so cold-started workers skip the seeding probe
-GEMMs; ``network-plan-v2`` added the auto-resolved k-block per entry;
-``network-plan-v1`` sidecars (written before the blocked fold existed)
-still load -- their verdicts seed the unblocked calibration cache only,
-and the block resolution (v1) and cost rates (v1/v2) re-probe lazily on
-first dispatch. v1-v3 sidecars carry no integer lowering: they load
-fine, but a quantized model loses its integer datapath with them, so
-sidecar consumers on the numeric path (see
-``repro.experiments.context``) rebuild and re-save such sidecars.
+The sidecar is a derived cache, not an archive: :func:`load_plan` accepts
+only the current :data:`PLAN_FORMAT`, and any other format (older writers
+included) loads as ``None`` through :func:`try_load_plan`, so consumers
+rebuild the plan live and re-save it. Besides the lowered arrays, each
+conv layer stores only what cannot be derived from them: its auto-resolved
+k-block and, for int-lowered layers, the integer bit-exactness verdict.
+Calibration keys, the unblocked verdict (``block == 0``) and overflow
+bounds are recomputed on load; dispatch cost rates are wall-clock
+measurements of one process and are never persisted.
 """
 
 from __future__ import annotations
@@ -60,7 +50,6 @@ import numpy as np
 
 from repro.errors import ReproError, RuntimeUnsupportedError
 from repro.runtime.config import runtime_config
-from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
     calibrate_event_exact,
     calibrate_int_exact,
@@ -68,7 +57,6 @@ from repro.runtime.kernels import (
     resolve_event_backend,
     resolve_event_block,
     seed_block_resolution,
-    seed_calibration,
     seed_int_exact,
 )
 from repro.runtime.plan import (
@@ -81,15 +69,8 @@ from repro.utils.serialization import load_npz, save_npz
 
 PLAN_SIDECAR_SUFFIX = ".plan.npz"
 
-#: Accepted sidecar formats, newest first. v3 lacks the integer lowering
-#: (quantized weights + scales + int verdicts); v2 additionally lacks
-#: per-entry ``cost`` rates; v1 additionally lacks per-entry ``block``.
-_PLAN_FORMATS = (
-    "network-plan-v4",
-    "network-plan-v3",
-    "network-plan-v2",
-    "network-plan-v1",
-)
+#: The only sidecar format :func:`load_plan` accepts.
+PLAN_FORMAT = "network-plan-v5"
 
 _BN_FIELDS = ("bn_mu", "bn_inv_std", "bn_gamma", "bn_beta")
 
@@ -154,7 +135,7 @@ def save_plan(
     backend: Optional[str] = None,
     model_digest: Optional[str] = None,
 ) -> None:
-    """Serialize ``plan`` (weights, BN, calibration verdicts) to ``path``.
+    """Serialize ``plan`` (weights, BN, calibration outcomes) to ``path``.
 
     ``model_digest`` ties the sidecar to the exact stored parameters of
     the model it was lowered from (see
@@ -164,7 +145,7 @@ def save_plan(
     backend = resolve_event_backend(backend or runtime_config().event_backend)
     arrays: Dict[str, np.ndarray] = {}
     meta: Dict[str, object] = {
-        "format": "network-plan-v4",
+        "format": PLAN_FORMAT,
         "model_digest": model_digest,
         "beta": plan.beta,
         "threshold": plan.threshold,
@@ -175,7 +156,6 @@ def save_plan(
         "backend": backend,
         "fingerprint": environment_fingerprint(),
         "layers": [],
-        "calibration": [],
     }
     for index, layer in enumerate(plan.layers):
         prefix = f"layer{index}"
@@ -189,65 +169,43 @@ def save_plan(
             arrays[f"{prefix}.wq"] = layer.wq
             arrays[f"{prefix}.wq_scale"] = np.asarray(layer.wq_scale)
         geometry = layer.geometry
-        meta["layers"].append(
-            {
-                "name": layer.name,
-                "kind": layer.kind,
-                "input_shape": list(layer.input_shape),
-                "output_shape": list(layer.output_shape),
-                "pool_after": layer.pool_after,
-                "is_input_layer": layer.is_input_layer,
-                "kernel": geometry.kernel if geometry is not None else 0,
-                "padding": geometry.padding if geometry is not None else 0,
-                "has_bn": layer.has_bn,
-                "has_int": layer.has_int_lowering,
-            }
-        )
+        info: Dict[str, object] = {
+            "name": layer.name,
+            "kind": layer.kind,
+            "input_shape": list(layer.input_shape),
+            "output_shape": list(layer.output_shape),
+            "pool_after": layer.pool_after,
+            "is_input_layer": layer.is_input_layer,
+            "kernel": geometry.kernel if geometry is not None else 0,
+            "padding": geometry.padding if geometry is not None else 0,
+        }
         if layer.kind == "conv":
+            # Auto resolution (None = dense fallback, 0 = unblocked,
+            # >0 = blocked): probed here once so cold loaders skip every
+            # block-candidate GEMM.
             block = resolve_event_block(layer, backend)
-            entry: Dict[str, object] = {
-                "key": list(calibration_key(layer, backend)),
-                "exact": calibrate_event_exact(layer, backend),
-                # Auto resolution (None = dense fallback, 0 =
-                # unblocked, >0 = blocked): probed here once so cold
-                # loaders skip every block-candidate GEMM.
-                "block": block,
-            }
-            if block is not None:
-                # Dispatch cost rates (v3): probe-seeded here (or taken
-                # from the live plan's already-refined state) so cold
-                # loaders skip the one-shot seeding GEMMs. Only
-                # event-eligible shapes ever consult the cost model;
-                # dense-fallback shapes carry no rates.
-                state = ensure_cost_state(layer, backend, block or None)
-                entry["cost"] = {
-                    "dense_ms_per_sample": float(state.dense_ms_per_sample),
-                    "event_ms_per_update": float(state.event_ms_per_update),
-                }
+            info["block"] = block
             if layer.has_int_lowering:
-                # Integer datapath verdicts (v4): the per-layer
-                # bit-exactness probe and the overflow bound.
-                entry["int"] = {
-                    "exact": bool(calibrate_int_exact(layer, backend, block)),
-                    "bound": int(layer.int_bound),
-                }
-            meta["calibration"].append(entry)
+                info["int_exact"] = calibrate_int_exact(layer, backend, block)
+        meta["layers"].append(info)
     save_npz(path, arrays, meta)
 
 
 def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
     """Rebuild a :class:`NetworkPlan` written by :func:`save_plan`.
 
-    Seeds the process-wide calibration cache from the sidecar's verdicts
-    when the environment fingerprint matches, so the loading process
-    never re-probes shapes the saving process already settled. When both
-    sides carry a ``model_digest`` and they differ, the sidecar is stale
-    (the model was retrained under it) and loading fails.
+    Seeds the process-wide calibration caches and the per-layer integer
+    verdicts from the sidecar when the environment fingerprint matches,
+    so the loading process never re-probes shapes the saving process
+    already settled. When both sides carry a ``model_digest`` and they
+    differ, the sidecar is stale (the model was retrained under it) and
+    loading fails, as it does for any format other than
+    :data:`PLAN_FORMAT`.
     """
     arrays, meta = load_npz(path)
-    if meta.get("format") not in _PLAN_FORMATS:
+    if meta.get("format") != PLAN_FORMAT:
         raise RuntimeUnsupportedError(
-            f"{path!r} is not a serialized network plan"
+            f"{path!r} is not a {PLAN_FORMAT} network plan"
         )
     stored_digest = meta.get("model_digest")
     if (
@@ -259,6 +217,8 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
             f"plan sidecar {path!r} was lowered from a different model "
             "(digest mismatch; retrain left a stale sidecar)"
         )
+    backend = meta["backend"]
+    seed = meta.get("fingerprint") == environment_fingerprint()
     layers: List[LayerPlan] = []
     for index, info in enumerate(meta["layers"]):
         prefix = f"layer{index}"
@@ -284,18 +244,24 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
             pool_after=info["pool_after"],
             is_input_layer=info["is_input_layer"],
         )
-        if info["has_bn"]:
+        if f"{prefix}.bn_mu" in arrays:
             for bn_field in _BN_FIELDS:
                 setattr(layer, bn_field, arrays[f"{prefix}.{bn_field}"])
-        # v4 sidecars persist the integer lowering; v1-v3 predate it
-        # ("has_int" absent), so quantized plans loaded from them run
-        # float-only until the sidecar is rebuilt.
-        if info.get("has_int"):
+        if f"{prefix}.wq" in arrays:
             attach_int_lowering(
                 layer, arrays[f"{prefix}.wq"], arrays[f"{prefix}.wq_scale"]
             )
+        # Verdicts from a different environment are never trusted: a
+        # different BLAS may fold GEMMs differently.
+        if seed and layer.kind == "conv":
+            block = info["block"]
+            seed_block_resolution(calibration_key(layer, backend), block)
+            if layer.has_int_lowering:
+                # Weight-dependent, so seeded per layer object rather
+                # than into the shape-keyed calibration caches.
+                seed_int_exact(layer, backend, block, info["int_exact"])
         layers.append(layer)
-    plan = NetworkPlan(
+    return NetworkPlan(
         layers=layers,
         beta=meta["beta"],
         threshold=meta["threshold"],
@@ -304,41 +270,6 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
         spike_rule=meta["spike_rule"],
         source=meta["source"],
     )
-    if meta.get("fingerprint") == environment_fingerprint():
-        conv_layers = [layer for layer in layers if layer.kind == "conv"]
-        entries = meta.get("calibration", [])
-        for index, entry in enumerate(entries):
-            key = tuple(entry["key"])
-            seed_calibration(key, entry["exact"])
-            # v1 sidecars carry no block resolution: leave the choice
-            # cache untouched so it is probed live on first dispatch.
-            if "block" in entry:
-                seed_block_resolution(key, entry["block"])
-            # v3 sidecars carry the probe-seeded dispatch cost rates;
-            # the entry order matches the conv-layer order save_plan
-            # walked. Timings from a different environment are never
-            # trusted (same fingerprint gate as the verdicts); seeded
-            # rates are still refined online by the dispatcher's EMA.
-            cost = entry.get("cost")
-            if cost is not None and index < len(conv_layers):
-                conv_layers[index].cost_state = LayerCostState(
-                    dense_ms_per_sample=float(cost["dense_ms_per_sample"]),
-                    event_ms_per_update=float(cost["event_ms_per_update"]),
-                )
-            # v4 sidecars carry the integer bit-exactness verdict. It is
-            # weight-dependent, so it is seeded per layer object, not
-            # into the shape-keyed calibration cache.
-            int_entry = entry.get("int")
-            if int_entry is not None and index < len(conv_layers):
-                conv = conv_layers[index]
-                if conv.has_int_lowering:
-                    seed_int_exact(
-                        conv,
-                        meta["backend"],
-                        entry.get("block"),
-                        bool(int_entry["exact"]),
-                    )
-    return plan
 
 
 def try_load_plan(

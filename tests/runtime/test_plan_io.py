@@ -233,7 +233,7 @@ class TestCalibrationSeeding:
                 )
 
     def test_live_probe_wins_over_seeded_verdict(self, deployable, tmp_path):
-        from repro.runtime.kernels import seed_calibration
+        from repro.runtime.kernels import seed_block_resolution
 
         live = plan_deployable(deployable)
         backend = resolve_event_backend("auto")
@@ -244,8 +244,34 @@ class TestCalibrationSeeding:
             from repro.runtime.kernels import calibrate_event_exact
 
             probed = calibrate_event_exact(conv, backend)
-        seed_calibration(key, not probed)  # lying sidecar
+        seed_block_resolution(key, None if probed else 0)  # lying sidecar
         assert _CALIBRATION_CACHE[key] == probed  # probe verdict kept
+
+    def test_load_seeds_block_resolution(
+        self, deployable, tmp_path, monkeypatch
+    ):
+        from repro.runtime import kernels
+
+        live = plan_deployable(deployable)
+        backend = resolve_event_backend("auto")
+        path = str(tmp_path / "blocks.plan.npz")
+        save_plan(live, path)
+        expected = {
+            calibration_key(layer, backend): kernels.resolve_event_block(
+                layer, backend
+            )
+            for layer in live.layers
+            if layer.kind == "conv"
+        }
+        monkeypatch.setattr(kernels, "_CALIBRATION_CACHE", {})
+        monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})
+        monkeypatch.setattr(kernels, "_BLOCK_EXACT_CACHE", {})
+        load_plan(path)
+        assert kernels._BLOCK_CHOICE_CACHE == expected
+        # The unblocked verdict is the block choice's ``0`` case.
+        assert kernels._CALIBRATION_CACHE == {
+            key: block == 0 for key, block in expected.items()
+        }
 
     def test_fingerprint_mismatch_ignores_verdicts(
         self, deployable, tmp_path, monkeypatch
@@ -436,172 +462,59 @@ class TestAttachPlan:
         )
 
 
-class TestSchemaCompat:
-    """Earlier-PR sidecars must keep loading after each schema bump:
-    v1 (no per-entry k-block), v2 (no per-entry cost rates), v3 (no
-    integer lowering) and the current v4 all round-trip to bit-identical
-    engine outputs."""
+class TestSidecarIsDerived:
+    """The sidecar is a cache: its content is a pure function of the
+    model and the environment, never of what the saving process ran."""
 
-    def _downgrade_to_v1(self, path):
-        arrays, meta = load_npz(path)
-        meta["format"] = "network-plan-v1"
-        for entry in meta["calibration"]:
-            entry.pop("block", None)
-            entry.pop("cost", None)
-            entry.pop("int", None)
-        for info in meta["layers"]:
-            info.pop("has_int", None)
-        arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
-        save_npz(path, arrays, meta)
-
-    def _downgrade_to_v2(self, path):
-        arrays, meta = load_npz(path)
-        meta["format"] = "network-plan-v2"
-        for entry in meta["calibration"]:
-            entry.pop("cost", None)
-            entry.pop("int", None)
-        for info in meta["layers"]:
-            info.pop("has_int", None)
-        arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
-        save_npz(path, arrays, meta)
-
-    def _downgrade_to_v3(self, path):
-        arrays, meta = load_npz(path)
-        meta["format"] = "network-plan-v3"
-        for entry in meta["calibration"]:
-            entry.pop("int", None)
-        for info in meta["layers"]:
-            info.pop("has_int", None)
-        arrays = {k: v for k, v in arrays.items() if ".wq" not in k}
-        save_npz(path, arrays, meta)
-
-    def test_v1_sidecar_loads_and_seeds_unblocked_verdicts(
-        self, deployable, images, tmp_path, monkeypatch
+    def test_content_independent_of_process_history(
+        self, network, images, tmp_path
     ):
-        live = plan_deployable(deployable)
-        path = str(tmp_path / "legacy.plan.npz")
-        save_plan(live, path)
-        self._downgrade_to_v1(path)
-        from repro.runtime import kernels
+        from repro.quant import INT8_P2
+        from repro.runtime import ensure_cost_state, resolve_event_block
+        from repro.runtime.config import runtime_overrides
 
-        monkeypatch.setattr(kernels, "_CALIBRATION_CACHE", {})
-        monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})
-        loaded = load_plan(path)
-        # Unblocked verdicts seeded; block choices left for live probing.
-        assert kernels._CALIBRATION_CACHE
-        assert kernels._BLOCK_CHOICE_CACHE == {}
-        want = engine_outputs(live, images)
-        got = engine_outputs(loaded, images)
-        assert np.array_equal(got.accumulated, want.accumulated)
-
-    def test_v2_sidecar_seeds_block_resolution(
-        self, deployable, tmp_path, monkeypatch
-    ):
-        from repro.runtime import kernels
-        from repro.runtime.kernels import resolve_event_backend
-
-        live = plan_deployable(deployable)
+        live = plan_deployable(convert(network, INT8_P2))
         backend = resolve_event_backend("auto")
-        path = str(tmp_path / "current.plan.npz")
-        save_plan(live, path)
-        expected = {
-            calibration_key(layer, backend): kernels.resolve_event_block(
-                layer, backend
+        convs = [layer for layer in live.layers if layer.kind == "conv"]
+        states = [
+            ensure_cost_state(
+                layer, backend, resolve_event_block(layer, backend) or None
             )
-            for layer in live.layers
-            if layer.kind == "conv"
-        }
-        monkeypatch.setattr(kernels, "_CALIBRATION_CACHE", {})
-        monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})
-        monkeypatch.setattr(kernels, "_BLOCK_EXACT_CACHE", {})
-        load_plan(path)
-        assert kernels._BLOCK_CHOICE_CACHE == expected
+            for layer in convs
+        ]
+        before = [
+            (s.dense_ms_per_sample, s.event_ms_per_update) for s in states
+        ]
+        first = str(tmp_path / "first.plan.npz")
+        save_plan(live, first)
+        for path in ("event", "dense"):
+            with runtime_overrides(force_path=path):
+                engine_outputs(live, images)
+        after = [
+            (s.dense_ms_per_sample, s.event_ms_per_update) for s in states
+        ]
+        assert after != before  # the online EMA did move
+        second = str(tmp_path / "second.plan.npz")
+        save_plan(live, second)
+        arrays1, meta1 = load_npz(first)
+        arrays2, meta2 = load_npz(second)
+        assert meta1 == meta2
+        assert arrays1.keys() == arrays2.keys()
+        for name in arrays1:
+            assert arrays1[name].dtype == arrays2[name].dtype
+            assert np.array_equal(arrays1[name], arrays2[name])
 
-    def test_v2_sidecar_loads_without_cost_rates(
-        self, deployable, images, tmp_path
-    ):
+    def test_loaded_plan_carries_no_cost_rates(self, deployable, tmp_path):
         live = plan_deployable(deployable)
-        path = str(tmp_path / "v2.plan.npz")
+        path = str(tmp_path / "rates.plan.npz")
         save_plan(live, path)
-        self._downgrade_to_v2(path)
         loaded = load_plan(path)
-        # No rates seeded: the dispatcher probes live on first use.
-        assert all(
-            layer.cost_state is None
-            for layer in loaded.layers
-            if layer.kind == "conv"
-        )
-        want = engine_outputs(live, images)
-        got = engine_outputs(loaded, images)
-        assert np.array_equal(got.accumulated, want.accumulated)
+        assert all(layer.cost_state is None for layer in loaded.layers)
 
-    def test_v3_sidecar_seeds_cost_state_and_skips_probe(
-        self, deployable, tmp_path, monkeypatch
+    def test_sidecar_persists_integer_lowering(
+        self, network, tmp_path, monkeypatch
     ):
-        """Event-eligible layers come back with the persisted dispatch
-        cost rates attached, so cold workers never run the one-shot
-        seeding probe GEMMs."""
-        from repro.runtime import costmodel
-        from repro.runtime.costmodel import ensure_cost_state
-        from repro.runtime.kernels import (
-            resolve_event_backend,
-            resolve_event_block,
-        )
-
-        live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
-        path = str(tmp_path / "v3.plan.npz")
-        save_plan(live, path)
-        arrays, meta = load_npz(path)
-        assert meta["format"] == "network-plan-v4"
-        saved = {
-            tuple(entry["key"]): entry["cost"]
-            for entry in meta["calibration"]
-            if entry.get("cost") is not None
-        }
-        assert saved  # the tiny conv shapes are event-eligible
-        loaded = load_plan(path)
-        monkeypatch.setattr(
-            costmodel,
-            "probe_cost_state",
-            lambda *a, **k: pytest.fail("probe ran despite seeded rates"),
-        )
-        for layer in loaded.layers:
-            if layer.kind != "conv":
-                continue
-            block = resolve_event_block(layer, backend)
-            if block is None:
-                continue
-            state = ensure_cost_state(layer, backend, block or None)
-            from repro.runtime.kernels import calibration_key
-
-            rates = saved[calibration_key(layer, backend)]
-            assert state.dense_ms_per_sample == rates["dense_ms_per_sample"]
-            assert state.event_ms_per_update == rates["event_ms_per_update"]
-
-    def test_foreign_fingerprint_ignores_cost_rates(
-        self, deployable, tmp_path
-    ):
-        """Rates are wall-clock measurements of the saving machine --
-        like the calibration verdicts they must never cross an
-        environment-fingerprint boundary."""
-        live = plan_deployable(deployable)
-        path = str(tmp_path / "foreign-cost.plan.npz")
-        save_plan(live, path)
-        arrays, meta = load_npz(path)
-        meta["fingerprint"]["numpy"] = "0.0.0-foreign"
-        save_npz(path, arrays, meta)
-        loaded = load_plan(path)
-        assert all(
-            layer.cost_state is None
-            for layer in loaded.layers
-            if layer.kind == "conv"
-        )
-
-    def test_v4_persists_integer_lowering(
-        self, network, images, tmp_path, monkeypatch
-    ):
-        """A quantized plan's int8 weights, scales and exactness
+        """A quantized plan's integer weights, scales and exactness
         verdicts all come back from the sidecar -- cold loaders never
         re-run the integer probes."""
         from repro.quant import INT8_P2
@@ -638,84 +551,118 @@ class TestSchemaCompat:
                 )
         assert seen_int  # the quantized plan did carry a lowering
 
-    def test_v4_sidecar_with_int_cost_rates_loads(
-        self, network, images, tmp_path
-    ):
-        """Older v4 writers stored the lowering as int8/int16 and added
-        int kernel cost rates; such sidecars load unchanged (the rates
-        are ignored) and give byte-equal outputs on the integer path."""
-        from repro.quant import INT8_P2
 
-        live = plan_deployable(convert(network, INT8_P2))
-        path = str(tmp_path / "int-cost.plan.npz")
-        save_plan(live, path)
-        arrays, meta = load_npz(path)
-        for name in [k for k in arrays if k.endswith(".wq")]:
-            arrays[name] = arrays[name].astype(np.int8)
-        int_entries = [e["int"] for e in meta["calibration"] if "int" in e]
-        assert int_entries
-        for int_entry in int_entries:
-            int_entry["cost"] = {
-                "int_dense_ms_per_sample": 1.0,
-                "int_event_ms_per_update": 1e-3,
+def _relabel(format_name):
+    def rewrite(arrays, meta):
+        meta["format"] = format_name
+        return arrays, meta
+
+    return rewrite
+
+
+def _parent_v4_layout(arrays, meta):
+    """The layout the previous writer produced: a separate ``calibration``
+    list (shape key, unblocked verdict, block, cost rates, integer
+    verdict/bound/rates), ``has_bn``/``has_int`` flags and int8 ``wq``."""
+    meta["format"] = "network-plan-v4"
+    meta["calibration"] = []
+    for index, info in enumerate(meta["layers"]):
+        prefix = f"layer{index}"
+        info["has_bn"] = f"{prefix}.bn_mu" in arrays
+        info["has_int"] = f"{prefix}.wq" in arrays
+        if info["kind"] != "conv":
+            continue
+        block = info.pop("block")
+        cin, height, width = info["input_shape"]
+        entry = {
+            "key": [
+                cin, height, width, info["kernel"], info["padding"],
+                info["output_shape"][0], meta["backend"],
+            ],
+            "exact": block == 0,
+            "block": block,
+            "cost": {"dense_ms_per_sample": 1.0, "event_ms_per_update": 1e-4},
+        }
+        if info["has_int"]:
+            entry["int"] = {
+                "exact": info.pop("int_exact"),
+                "bound": 1234,
+                "cost": {
+                    "int_dense_ms_per_sample": 1.0,
+                    "int_event_ms_per_update": 1e-3,
+                },
             }
-        save_npz(path, arrays, meta)
-        loaded = load_plan(path)
-        for got, want in zip(loaded.layers, live.layers):
-            if want.has_int_lowering:
-                assert got.wq.dtype == np.float32
-                assert np.array_equal(got.wq, want.wq)
-        want = engine_outputs(live, images)
-        got = engine_outputs(loaded, images)
-        assert got.accumulated.tobytes() == want.accumulated.tobytes()
-        assert got.stats.per_layer == want.stats.per_layer
-        assert sum(c.int_dense_steps for c in got.counters.values()) > 0
+            arrays[f"{prefix}.wq"] = arrays[f"{prefix}.wq"].astype(np.int8)
+        meta["calibration"].append(entry)
+    return arrays, meta
 
-    def test_v3_sidecar_drops_integer_lowering_but_loads(
-        self, network, images, tmp_path
+
+@pytest.fixture(scope="module")
+def int8_workspace(tmp_path_factory):
+    """A tiny-scale workspace holding a trained int8 model + sidecar."""
+    from repro.experiments.context import ExperimentContext
+
+    workspace = str(tmp_path_factory.mktemp("int8-ws"))
+    ExperimentContext(scale="tiny", workspace=workspace, seed=0).trained(
+        "svhn", "int8"
+    )
+    return workspace
+
+
+class TestForeignFormatRebuilt:
+    """Sidecars are derived caches: any format but the current one loads
+    as ``None`` and its consumers rebuild and re-save it."""
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            _relabel("network-plan-v1"),
+            _relabel("network-plan-v2"),
+            _relabel("network-plan-v3"),
+            _relabel("network-plan-v4"),
+            _parent_v4_layout,
+        ],
+        ids=["v1", "v2", "v3", "v4", "parent-v4-layout"],
+    )
+    def test_context_rebuilds_foreign_sidecar(
+        self, int8_workspace, tmp_path, rewrite
     ):
-        """Pre-v4 sidecars of quantized models load fine -- the plan
-        simply runs float-only until the sidecar is rebuilt."""
-        from repro.quant import INT8_P2
+        import shutil
 
-        live = plan_deployable(convert(network, INT8_P2))
-        path = str(tmp_path / "v3-int.plan.npz")
-        save_plan(live, path)
-        self._downgrade_to_v3(path)
-        loaded = load_plan(path)
-        assert all(not layer.has_int_lowering for layer in loaded.layers)
-        want = engine_outputs(live, images)
-        got = engine_outputs(loaded, images)
-        # auto int kernels are exactness-preserving, so the float-only
-        # plan computes the identical result.
-        assert np.array_equal(got.accumulated, want.accumulated)
-
-    def test_context_rebuilds_pre_v4_sidecar_for_quantized_model(
-        self, tmp_path
-    ):
-        """The numeric-path sidecar guard: a quantized model under
-        int_kernels != 'off' must not keep a v3 sidecar that would pin
-        it to float inference."""
         from repro.experiments.context import ExperimentContext
+        from repro.quant import DeployableNetwork
         from repro.runtime import try_load_plan
+        from repro.runtime.plan_io import PLAN_FORMAT
 
         workspace = str(tmp_path / "ws")
+        shutil.copytree(int8_workspace, workspace)
         ctx = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
-        ctx.trained("svhn", "int8")
         path = ctx.model_path(ctx.model_key("svhn", "int8", "direct"))
         sidecar = plan_sidecar_path(path)
-        self._downgrade_to_v3(sidecar)
-        assert all(
-            not layer.has_int_lowering
-            for layer in try_load_plan(sidecar).layers
-        )
-        fresh = ExperimentContext(scale="tiny", workspace=workspace, seed=0)
-        model = fresh.trained("svhn", "int8")  # rebuilds + re-saves as v4
+        save_npz(sidecar, *rewrite(*load_npz(sidecar)))
+        assert try_load_plan(sidecar) is None
+
+        model = ctx.trained("svhn", "int8")  # rebuilds + re-saves
+        _, meta = load_npz(sidecar)
+        assert meta["format"] == PLAN_FORMAT
+        reloaded = try_load_plan(sidecar, model.weights_digest())
+        assert any(layer.has_int_lowering for layer in reloaded.layers)
         assert any(
             layer.has_int_lowering for layer in model._runtime_plan.layers
         )
-        reloaded = try_load_plan(sidecar)
-        assert any(layer.has_int_lowering for layer in reloaded.layers)
+
+        live = DeployableNetwork.load(path)
+        live.attach_plan(plan_deployable(live))
+        rng = np.random.default_rng(8)
+        probe = rng.random(
+            (3,) + tuple(live.layers[0].input_shape)
+        ).astype(np.float32)
+        want = live.forward(probe, 3)
+        got = model.forward(probe, 3)
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert (
+            got.stats.per_layer_timestep == want.stats.per_layer_timestep
+        )
 
     def test_unknown_future_format_rejected(self, deployable, tmp_path):
         from repro.errors import RuntimeUnsupportedError
