@@ -52,13 +52,13 @@ if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 import numpy as np
+import scipy
 
 from repro.parallel import sharded_forward
 from repro.quant import FP32, convert
 from repro.runtime import (
-    calibrate_event_exact,
+    calibrate_fold_exact,
     plan_deployable,
-    resolve_event_backend,
     resolve_event_block,
     runtime_overrides,
 )
@@ -137,17 +137,16 @@ def build_workload(scale: str):
 def pick_micro_layer(deployable):
     """First non-input conv layer whose shape calibrates event-exact."""
     plan = plan_deployable(deployable)
-    backend = resolve_event_backend("auto")
     for index, layer in enumerate(plan.layers):
         if layer.kind != "conv" or layer.is_input_layer:
             continue
-        if calibrate_event_exact(layer, backend):
-            return index, layer, backend
+        if calibrate_fold_exact(layer, 0):
+            return index, layer
     raise SystemExit("no event-exact conv layer found for the micro-bench")
 
 
 def bench_layer_micro(deployable, params) -> List[Dict]:
-    index, layer, backend = pick_micro_layer(deployable)
+    index, layer = pick_micro_layer(deployable)
     legacy_layer = deployable.layers[index]
     timesteps = params["timesteps"]
     batch = params["batch"]
@@ -168,7 +167,7 @@ def bench_layer_micro(deployable, params) -> List[Dict]:
             return dense_conv(layer, fused)
 
         def run_event():
-            return event_conv(layer, fused, backend)[0]
+            return event_conv(layer, fused)[0]
 
         # The three paths must agree bit-for-bit before being timed.
         want = np.concatenate(run_legacy())
@@ -202,13 +201,12 @@ def bench_blocked_scatter(params) -> Dict:
     layer = make_conv_layer_plan(cin, height, width, cout, seed=19)
     geometry = layer.geometry
     rng = np.random.default_rng(19)
-    backend = resolve_event_backend("auto")
-    block = resolve_event_block(layer, backend)
+    block = resolve_event_block(layer)
     if not block:
         raise SystemExit(
             f"deep shape K={geometry.k} failed to resolve a k-block"
         )
-    cost = probe_cost_state(layer, backend, block)
+    cost = probe_cost_state(layer, block)
     batch = params["timesteps"] * params["batch"]
     rows = []
     for density in BLOCKED_DENSITIES:
@@ -223,10 +221,10 @@ def bench_blocked_scatter(params) -> Dict:
             return dense_conv(layer, x)
 
         def run_event_blocked():
-            return event_conv_blocked(layer, x, backend, block)[0]
+            return event_conv_blocked(layer, x, block)[0]
 
         want = run_dense_blocked()
-        got, updates = event_conv_blocked(layer, x, backend, block)
+        got, updates = event_conv_blocked(layer, x, block)
         if not np.array_equal(got, want):
             raise SystemExit(
                 f"blocked event diverged from blocked dense at density "
@@ -254,7 +252,6 @@ def bench_blocked_scatter(params) -> Dict:
         },
         "k": int(geometry.k),
         "k_block": int(block),
-        "backend": backend,
         "batch": batch,
         "bit_exact": True,
         "rows": rows,
@@ -571,9 +568,8 @@ def bench_quantized_kernels(params) -> Dict:
     layer.wmat = wmat
     layer.wT = np.ascontiguousarray(wmat.T)
     attach_int_lowering(layer, q, scale)
-    backend = resolve_event_backend("auto")
-    block = resolve_event_block(layer, backend)
-    if not calibrate_int_exact(layer, backend, block):
+    block = resolve_event_block(layer)
+    if not calibrate_int_exact(layer, block):
         raise SystemExit("pow2 int lowering failed the exactness probe")
     rng = np.random.default_rng(23)
     batch = params["timesteps"] * params["batch"]
@@ -585,11 +581,11 @@ def bench_quantized_kernels(params) -> Dict:
 
         def run_float_event():
             if block:
-                return event_conv_blocked(layer, x, backend, block)[0]
-            return event_conv(layer, x, backend)[0]
+                return event_conv_blocked(layer, x, block)[0]
+            return event_conv(layer, x)[0]
 
         def run_int_event():
-            return event_conv_int(layer, x, backend)[0]
+            return event_conv_int(layer, x)[0]
 
         def run_float_dense():
             return dense_conv(layer, x, kblock=block if block else None)
@@ -598,7 +594,7 @@ def bench_quantized_kernels(params) -> Dict:
             return dense_conv_int(layer, x)
 
         want = run_float_dense()
-        got, updates = event_conv_int(layer, x, backend)
+        got, updates = event_conv_int(layer, x)
         if not np.array_equal(got, want):
             raise SystemExit(
                 f"int event kernel diverged from float at density {density}"
@@ -658,7 +654,6 @@ def bench_quantized_kernels(params) -> Dict:
         },
         "k": int(layer.geometry.k),
         "k_block": int(block or 0),
-        "backend": backend,
         "batch": batch,
         "scheme": "int8p2",
         "int_bound": int(layer.int_bound),
@@ -904,7 +899,7 @@ def main(argv=None) -> int:
             "env": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "event_backend": resolve_event_backend("auto"),
+                "scipy": scipy.__version__,
             },
             "layer_micro": bench_layer_micro(deployable, params),
             "blocked_scatter": bench_blocked_scatter(params),

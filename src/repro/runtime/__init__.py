@@ -33,10 +33,10 @@ Execution model
 Bit-exactness is enforced, not assumed: the scatter kernel reproduces a
 sequential ascending-``k`` BLAS fold while skipping zero terms, and each
 conv layer shape is *calibrated* once against the environment's actual
-BLAS kernel (:func:`~repro.runtime.kernels.calibrate_event_exact`).
+BLAS kernel (:func:`~repro.runtime.kernels.calibrate_fold_exact`).
 Shapes whose full-``K`` GEMM folds multi-lane (deep conv layers,
 ``K >= ~500`` here) switch both kernels to the canonical **blocked
-k-fold** (:func:`~repro.runtime.kernels.calibrate_event_block` picks the
+k-fold** (:func:`~repro.runtime.kernels.resolve_event_block` picks the
 largest block size whose within-block fold proves single-lane), so the
 event path stays open at any depth; only shapes with no bit-exact
 configuration at all remain on the dense fallback. Dispatch therefore
@@ -65,13 +65,11 @@ from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
     KBLOCK_CANDIDATES,
     BufferPool,
-    calibrate_block_exact,
-    calibrate_event_exact,
+    calibrate_fold_exact,
     calibrate_int_exact,
     calibration_key,
     dense_conv_int,
     event_conv_int,
-    resolve_event_backend,
     resolve_event_block,
     seed_block_resolution,
     seed_int_exact,
@@ -107,8 +105,7 @@ __all__ = [
     "RuntimeResult",
     "arrays_digest",
     "attach_int_lowering",
-    "calibrate_block_exact",
-    "calibrate_event_exact",
+    "calibrate_fold_exact",
     "calibrate_int_exact",
     "calibration_key",
     "configure",
@@ -121,7 +118,6 @@ __all__ = [
     "plan_report",
     "plan_sidecar_path",
     "plan_spiking",
-    "resolve_event_backend",
     "resolve_event_block",
     "runtime_config",
     "runtime_overrides",

@@ -2,8 +2,8 @@
 
 One process-wide :class:`RuntimeConfig` governs whether the fused
 inference runtime is used at all, where the density dispatcher switches
-between the dense and the event-driven kernel, and which scatter backend
-realises the event path. Tests pin behaviour with
+between the dense and the event-driven kernel, and which k-fold the
+event path uses. Tests pin behaviour with
 :func:`runtime_overrides`; ``REPRO_RUNTIME=0`` in the environment turns
 the runtime off globally (every consumer then falls back to the legacy
 per-timestep loops).
@@ -41,8 +41,6 @@ class RuntimeConfig:
             are byte-compared.
         force_path: pin every eligible layer-timestep to ``'dense'`` or
             ``'event'`` regardless of density (equivalence testing).
-        event_backend: ``'scipy'`` (CSR scatter-matmul), ``'numpy'``
-            (sorted ``np.add.at``), or ``'auto'`` (scipy when available).
         event_kblock: canonical blocked k-fold control. ``None`` (auto)
             calibrates per shape and picks the largest bit-exact block
             for shapes whose unblocked fold fails; ``0`` disables
@@ -68,7 +66,6 @@ class RuntimeConfig:
     dispatch_threshold: float = 0.05
     dispatch_policy: str = "cost"
     force_path: Optional[str] = None
-    event_backend: str = "auto"
     event_kblock: Optional[int] = None
     int_kernels: str = "auto"
     max_fused_elements: int = 1 << 24
@@ -86,11 +83,6 @@ class RuntimeConfig:
         if self.force_path not in (None, "dense", "event"):
             raise ConfigError(
                 f"force_path must be None, 'dense' or 'event', got {self.force_path!r}"
-            )
-        if self.event_backend not in ("auto", "scipy", "numpy"):
-            raise ConfigError(
-                f"event_backend must be 'auto', 'scipy' or 'numpy', "
-                f"got {self.event_backend!r}"
             )
         if self.event_kblock is not None and self.event_kblock < 0:
             raise ConfigError(

@@ -102,9 +102,7 @@ class LayerCostState:
         self.event_ms_per_update += EMA_ALPHA * (rate - self.event_ms_per_update)
 
 
-def probe_cost_state(
-    layer: LayerPlan, backend: str, kblock: Optional[int]
-) -> LayerCostState:
+def probe_cost_state(layer: LayerPlan, kblock: Optional[int]) -> LayerCostState:
     """One-shot timing probe of both kernels on ``layer``'s real shape.
 
     Runs the exact kernel variants the dispatcher would run (blocked
@@ -140,9 +138,9 @@ def probe_cost_state(
 
     start = time.perf_counter()
     if kblock:
-        _, updates = event_conv_blocked(layer, probe, backend, kblock)
+        _, updates = event_conv_blocked(layer, probe, kblock)
     else:
-        _, updates = event_conv(layer, probe, backend)
+        _, updates = event_conv(layer, probe)
     event_ms = (time.perf_counter() - start) * 1e3
 
     return LayerCostState(
@@ -151,9 +149,7 @@ def probe_cost_state(
     )
 
 
-def ensure_cost_state(
-    layer: LayerPlan, backend: str, kblock: Optional[int]
-) -> LayerCostState:
+def ensure_cost_state(layer: LayerPlan, kblock: Optional[int]) -> LayerCostState:
     """The layer's cost state, probing it on first use.
 
     Stored on the :class:`LayerPlan` so the estimate survives across
@@ -163,6 +159,6 @@ def ensure_cost_state(
     """
     state = layer.cost_state
     if state is None:
-        state = probe_cost_state(layer, backend, kblock)
+        state = probe_cost_state(layer, kblock)
         layer.cost_state = state
     return state

@@ -50,7 +50,6 @@ from repro.runtime.kernels import (
     event_conv_blocked,
     event_conv_int,
     or_pool,
-    resolve_event_backend,
     resolve_event_block,
 )
 from repro.runtime.plan import LayerPlan, NetworkPlan
@@ -129,7 +128,7 @@ class InferenceEngine:
         dense fallback on the unblocked fold), ``0`` (unblocked event
         path exact) or a block size.
 
-        A pure function of (shape, ``event_kblock``, backend) -- never of
+        A pure function of (shape, ``event_kblock``) -- never of
         the routing knobs -- so forcing a path or changing the dispatch
         policy can never change which fold a layer computes with. This
         is deliberate even for dense-only configurations
@@ -143,12 +142,7 @@ class InferenceEngine:
         cached = self._block_by_layer.get(layer.name, _UNRESOLVED)
         if cached is not _UNRESOLVED:
             return cached
-        config = self._config()
-        block = resolve_event_block(
-            layer,
-            resolve_event_backend(config.event_backend),
-            config.event_kblock,
-        )
+        block = resolve_event_block(layer, self._config().event_kblock)
         self._block_by_layer[layer.name] = block
         return block
 
@@ -180,10 +174,9 @@ class InferenceEngine:
         use_int = False
         reason: Optional[str] = None
         if mode != "off" and layer.kind == "conv" and layer.has_int_lowering:
-            backend = resolve_event_backend(config.event_backend)
             if not layer.int_overflow_ok:
                 reason = "overflow"
-            elif mode == "on" or calibrate_int_exact(layer, backend, block):
+            elif mode == "on" or calibrate_int_exact(layer, block):
                 use_int = True
             else:
                 reason = "exactness"
@@ -469,8 +462,7 @@ class InferenceEngine:
         if block is None:
             return False, "calibration"
         if config.dispatch_policy == "cost" and config.dispatch_threshold < 1.0:
-            backend = resolve_event_backend(config.event_backend)
-            state = ensure_cost_state(layer, backend, block or None)
+            state = ensure_cost_state(layer, block or None)
             updates = nnz * layer.geometry.avg_taps
             if state.predict_event_ms(updates) > state.predict_dense_ms(samples):
                 return False, "cost"
@@ -544,16 +536,15 @@ class InferenceEngine:
         block: Optional[int] = None,
         use_int: bool = False,
     ):
-        backend = resolve_event_backend(self._config().event_backend)
         start = time.perf_counter()  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results
         if use_int:
             # Unblocked at every depth: under the overflow bound every
             # fold order of the integer accumulation is exact.
-            result = event_conv_int(layer, batch, backend)
+            result = event_conv_int(layer, batch)
         elif block:
-            result = event_conv_blocked(layer, batch, backend, block)
+            result = event_conv_blocked(layer, batch, block)
         else:
-            result = event_conv(layer, batch, backend)
+            result = event_conv(layer, batch)
         state = layer.cost_state
         if state is not None:
             ms = (time.perf_counter() - start) * 1e3  # repro: lint-ok[D102] cost-model EMA measurement; never reaches results

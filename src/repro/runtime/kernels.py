@@ -14,16 +14,15 @@ Bit-exactness of the event path rests on the accumulation order: when
 BLAS folds each output element over ``k`` in ascending order with a
 single accumulator, skipping the zero terms of a binary input cannot
 change a float32 partial sum (beyond the sign of an exact zero), and the
-scatter backends preserve that order -- CSR rows store ascending column
-indices, and the ``np.add.at`` fallback is applied to ``(row, k)``-sorted
-contributions. Which fold a GEMM uses, however, depends on the BLAS
-kernel selected for the layer's shape (large-``k`` and FC-shaped GEMMs
-may split ``k`` over several accumulator lanes). The runtime therefore
-*calibrates* each conv layer shape once per process --
-:func:`calibrate_event_exact` probes the scatter kernel against the
-dense kernel on random binary inputs -- and the dispatcher only ever
-routes layers to the event path after their shape has proven
-bit-identical in this environment.
+scatter preserves that order -- it is one scipy CSR product, whose rows
+store ascending column indices. Which fold a GEMM uses, however, depends
+on the BLAS kernel selected for the layer's shape (large-``k`` and
+FC-shaped GEMMs may split ``k`` over several accumulator lanes). The
+runtime therefore *calibrates* each conv layer shape once per process --
+:func:`calibrate_fold_exact` probes the scatter kernel against the dense
+kernel on random binary inputs -- and the dispatcher only ever routes
+layers to the event path after their shape has proven bit-identical in
+this environment.
 
 Deep conv shapes (``K >= ~500`` in this environment) fail that unblocked
 probe: their full-``K`` GEMM folds multi-lane. For them the runtime
@@ -33,8 +32,8 @@ its own (a small block GEMM on the dense side, a per-block scatter on
 the event side), and the per-block partial sums are folded in the same
 ascending block order by both kernels. Bit-exactness then only requires
 the *within-block* GEMM to fold single-lane, which holds for small
-enough blocks; :func:`calibrate_event_block` probes candidate block
-sizes largest-first and picks the biggest one that proves exact, so the
+enough blocks; :func:`resolve_event_block` probes candidate block sizes
+largest-first and picks the biggest one that proves exact, so the
 event path stays open at any depth -- the software twin of the blocked
 event-accumulation pipelines in sparse-SNN accelerators (Sommer et al.,
 ExSpike). FC layers always take the dense path: their single small GEMM
@@ -54,27 +53,14 @@ fold, no calibration, and BLAS speed at any depth.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from scipy import sparse
+
 from repro.runtime.plan import BlockTables, LayerPlan
 from repro.utils.rng import new_rng
-
-try:  # scipy ships with the image; gate anyway so the runtime degrades cleanly
-    from scipy import sparse as _sparse
-except Exception:  # pragma: no cover - exercised only without scipy
-    _sparse = None
-
-
-def resolve_event_backend(name: str) -> str:
-    """Map an ``event_backend`` config value to a concrete backend."""
-    if name == "auto":
-        return "scipy" if _sparse is not None else "numpy"
-    if name == "scipy" and _sparse is None:
-        raise ConfigError("event_backend='scipy' requested but scipy is missing")
-    return name
 
 
 class BufferPool:
@@ -203,20 +189,13 @@ def _scatter_columns(
     cols: np.ndarray,
     weight_rows: np.ndarray,
     n_rows: int,
-    backend: str,
 ) -> np.ndarray:
     """Sum ``weight_rows[cols]`` into ``out[rows]`` in ascending-k order."""
-    if backend == "scipy":
-        matrix = _sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.float32), (rows, cols)),
-            shape=(n_rows, weight_rows.shape[0]),
-        )
-        return matrix @ weight_rows
-    out = np.zeros((n_rows, weight_rows.shape[1]), dtype=np.float32)
-    if rows.size:
-        order = np.lexsort((cols, rows))
-        np.add.at(out, rows[order], weight_rows[cols[order]])
-    return out
+    matrix = sparse.csr_matrix(
+        (np.ones(rows.size, dtype=np.float32), (rows, cols)),
+        shape=(n_rows, weight_rows.shape[0]),
+    )
+    return matrix @ weight_rows
 
 
 def _event_contributions(
@@ -242,34 +221,30 @@ def _rows_to_nchw(out2d: np.ndarray, layer: LayerPlan, batch: int) -> np.ndarray
 
 
 def _event_scatter(
-    layer: LayerPlan, x: np.ndarray, wT: np.ndarray, backend: str
+    layer: LayerPlan, x: np.ndarray, wT: np.ndarray
 ) -> Tuple[np.ndarray, int]:
     """Bias-free event accumulation of the (K, Cout) rows ``wT``:
     returns the (B, Cout, OH, OW) accumulator and the number of scatter
     contributions (events x in-bounds taps)."""
     batch = x.shape[0]
     q_all, k_all = _event_contributions(layer, x)
-    out2d = _scatter_columns(
-        q_all, k_all, wT, batch * layer.geometry.p, backend
-    )
+    out2d = _scatter_columns(q_all, k_all, wT, batch * layer.geometry.p)
     return _rows_to_nchw(out2d, layer, batch), int(k_all.size)
 
 
-def event_conv(
-    layer: LayerPlan, x: np.ndarray, backend: str
-) -> Tuple[np.ndarray, int]:
+def event_conv(layer: LayerPlan, x: np.ndarray) -> Tuple[np.ndarray, int]:
     """Event-driven convolution over a (B, Cin, H, W) binary batch.
 
     Returns the layer current and the number of scatter contributions
     (events x in-bounds taps) actually accumulated.
     """
-    current, updates = _event_scatter(layer, x, layer.wT, backend)
+    current, updates = _event_scatter(layer, x, layer.wT)
     np.add(current, layer.bias.reshape(1, -1, 1, 1), out=current)
     return current, updates
 
 
 def event_conv_blocked(
-    layer: LayerPlan, x: np.ndarray, backend: str, kblock: int
+    layer: LayerPlan, x: np.ndarray, kblock: int
 ) -> Tuple[np.ndarray, int]:
     """Blocked event-driven convolution over a (B, Cin, H, W) binary batch.
 
@@ -309,7 +284,6 @@ def event_conv_blocked(
                 k_sorted[lo:hi] - edges[i],
                 tables.wT_blocks[i],
                 n_rows,
-                backend,
             )
             if out2d is None:
                 out2d = partial
@@ -344,9 +318,7 @@ def _dequantize_current(acc: np.ndarray, layer: LayerPlan) -> np.ndarray:
     return acc
 
 
-def event_conv_int(
-    layer: LayerPlan, x: np.ndarray, backend: str
-) -> Tuple[np.ndarray, int]:
+def event_conv_int(layer: LayerPlan, x: np.ndarray) -> Tuple[np.ndarray, int]:
     """Event-driven convolution on the integer datapath.
 
     Same contract as :func:`event_conv` -- (current, updates) -- but the
@@ -357,7 +329,7 @@ def event_conv_int(
     the shift-and-add de-quantizer runs once per output element. Always
     unblocked: under the overflow bound every fold order is exact.
     """
-    acc, updates = _event_scatter(layer, x, layer.wqT, backend)
+    acc, updates = _event_scatter(layer, x, layer.wqT)
     return _dequantize_current(acc, layer), updates
 
 
@@ -378,9 +350,34 @@ def dense_conv_int(
     return _dequantize_current(acc, layer)
 
 
-def calibrate_int_exact(
-    layer: LayerPlan, backend: str, block: Optional[int] = None
+def _probes_agree(
+    layer: LayerPlan, reference: Callable, *candidates: Callable
 ) -> bool:
+    """True when every kernel in ``candidates`` reproduces ``reference``
+    bit-for-bit on the calibration probes.
+
+    The probes are fixed: batch-2 random binary inputs at densities
+    0.02, 0.1 and 0.3 drawn in that order from one seeded stream, so
+    every calibration in every process compares on the same inputs. A
+    multi-lane BLAS fold differing from the scatter kernel's sequential
+    ascending-``k`` fold produces last-ulp mismatches on essentially
+    every random probe, so a handful of probes across densities
+    separates the two regimes decisively.
+    """
+    g = layer.geometry
+    rng = new_rng(0xC0FFEE)
+    for density in (0.02, 0.1, 0.3):
+        probe = (
+            rng.random((2, g.cin, g.height, g.width)) < density
+        ).astype(np.float32)
+        want = reference(probe)
+        for kernel in candidates:
+            if not np.array_equal(kernel(probe), want):
+                return False
+    return True
+
+
+def calibrate_int_exact(layer: LayerPlan, block: Optional[int] = None) -> bool:
     """True when the integer path reproduces the float path bit-for-bit.
 
     The reference is what the engine would otherwise compute for these
@@ -389,9 +386,9 @@ def calibrate_int_exact(
     Both integer flavours are probed -- they share one exact accumulator,
     so a mismatch between them would indicate a kernel bug rather than a
     fold-order effect. The verdict depends on the weight values (through
-    the scales), so it is cached per layer -- keyed by (backend, block)
-    -- not in the per-shape calibration cache; sidecars persist it and
-    loaders seed it through :func:`seed_int_exact`, live-wins.
+    the scales), so it is cached per layer -- keyed by block -- not in
+    the per-shape fold cache; sidecars persist it and loaders seed it
+    through :func:`seed_int_exact`, live-wins.
 
     Power-of-two scales (``QuantScheme.pow2_scale``) pass by
     construction: the dequantized weights and every float32 partial sum
@@ -403,39 +400,26 @@ def calibrate_int_exact(
         return False
     if not layer.int_overflow_ok:
         return False
-    key = (backend, int(block or 0))
+    key = int(block or 0)
     cached = layer._int_exact.get(key)
     if cached is not None:
         return cached
-    g = layer.geometry
-    rng = new_rng(0xC0FFEE)
-    exact = True
-    for density in (0.02, 0.1, 0.3):
-        probe = (
-            rng.random((2, g.cin, g.height, g.width)) < density
-        ).astype(np.float32)
-        want = dense_conv(layer, probe, kblock=block if block else None)
-        got_event, _ = event_conv_int(layer, probe, backend)
-        if not np.array_equal(got_event, want):
-            exact = False
-            break
-        if not np.array_equal(dense_conv_int(layer, probe), want):
-            exact = False
-            break
+    exact = _probes_agree(
+        layer,
+        lambda x: dense_conv(layer, x, kblock=key or None),
+        lambda x: event_conv_int(layer, x)[0],
+        lambda x: dense_conv_int(layer, x),
+    )
     layer._int_exact[key] = exact
     return exact
 
 
-def seed_int_exact(
-    layer: LayerPlan, backend: str, block: Optional[int], exact: bool
-) -> None:
+def seed_int_exact(layer: LayerPlan, block: Optional[int], exact: bool) -> None:
     """Pre-populate a layer's integer-exactness verdict (sidecar fast
     path). Live-wins: a verdict probed in this process is never
     overwritten by a loaded one."""
-    layer._int_exact.setdefault((backend, int(block or 0)), bool(exact))
+    layer._int_exact.setdefault(int(block or 0), bool(exact))
 
-
-_CALIBRATION_CACHE: Dict[Tuple, bool] = {}  # repro: lint-ok[P102] per-process memo of a pure predicate; same key gives same value in every process
 
 #: Candidate k-block sizes probed largest-first by the auto resolution.
 #: In practice the within-block GEMM stays single-lane up to a few
@@ -443,8 +427,9 @@ _CALIBRATION_CACHE: Dict[Tuple, bool] = {}  # repro: lint-ok[P102] per-process m
 #: the per-block overhead lowest while the small ones are the safety net.
 KBLOCK_CANDIDATES = (512, 256, 128, 64, 32)
 
-# (shape key, block) -> the blocked kernels proved bit-identical.
-_BLOCK_EXACT_CACHE: Dict[Tuple, bool] = {}  # repro: lint-ok[P102] per-process memo of a pure predicate; same key gives same value in every process
+# (shape key, block) -> the event and dense kernels proved bit-identical
+# at that fold (block 0 = unblocked).
+_FOLD_EXACT_CACHE: Dict[Tuple, bool] = {}  # repro: lint-ok[P102] per-process memo of a pure predicate; same key gives same value in every process
 # shape key -> auto-resolved block (0 = unblocked exact, >0 = blocked
 # with that size, None = no exact configuration; dense fallback).
 _BLOCK_CHOICE_CACHE: Dict[Tuple, Optional[int]] = {}  # repro: lint-ok[P102] per-process memo of a pure choice function; same key gives same value in every process
@@ -452,79 +437,46 @@ _BLOCK_CHOICE_CACHE: Dict[Tuple, Optional[int]] = {}  # repro: lint-ok[P102] per
 _UNRESOLVED = object()  # distinguishes "never probed" from "probed: None"
 
 
-def calibration_key(layer: LayerPlan, backend: str) -> Tuple:
+def calibration_key(layer: LayerPlan) -> Tuple:
     """Process-wide calibration-cache key for a conv layer shape."""
     g = layer.geometry
     return (
-        g.cin, g.height, g.width, g.kernel, g.padding,
-        layer.out_channels, backend,
+        g.cin, g.height, g.width, g.kernel, g.padding, layer.out_channels,
     )
 
 
-def calibrate_event_exact(layer: LayerPlan, backend: str) -> bool:
-    """True when the event path is bit-identical to the dense path for
-    this layer's GEMM shape in the current environment.
+def calibrate_fold_exact(layer: LayerPlan, block: int = 0) -> bool:
+    """True when the event and dense kernels are bit-identical for this
+    layer's shape at fold ``block`` in the current environment.
 
-    A multi-lane BLAS fold differing from the scatter kernel's sequential
-    ascending-``k`` fold produces last-ulp mismatches on essentially every
-    random probe, so a handful of probes across densities separates the
-    two regimes decisively. The verdict depends only on the layer shape
-    (not the weight values) and is cached process-wide.
+    ``block == 0`` compares the unblocked kernels (:func:`event_conv`
+    against the full-``K`` GEMM). ``block > 0`` compares the two blocked
+    kernels *at that block size* -- the canonical blocked fold is the
+    reference, not the unblocked GEMM (at deep shapes those differ in
+    the last ulp by construction, which is the whole reason the blocked
+    fold exists); a block too large for this environment's BLAS to fold
+    single-lane fails exactly like the unblocked probe at deep shapes.
+    The verdict depends only on the layer shape (not the weight values)
+    and is cached process-wide per ``(shape, block)``.
     """
-    key = calibration_key(layer, backend)
-    g = layer.geometry
-    cached = _CALIBRATION_CACHE.get(key)
+    block = int(block)
+    key = (calibration_key(layer), block)
+    cached = _FOLD_EXACT_CACHE.get(key)
     if cached is not None:
         return cached
-    rng = new_rng(0xC0FFEE)
-    exact = True
-    for density in (0.02, 0.1, 0.3):
-        probe = (
-            rng.random((2, g.cin, g.height, g.width)) < density
-        ).astype(np.float32)
-        want = dense_conv(layer, probe)
-        got, _ = event_conv(layer, probe, backend)
-        if not np.array_equal(got, want):
-            exact = False
-            break
-    _CALIBRATION_CACHE[key] = exact
-    return exact
-
-
-def calibrate_block_exact(layer: LayerPlan, backend: str, kblock: int) -> bool:
-    """True when the blocked event and blocked dense kernels are
-    bit-identical for this layer's shape at block size ``kblock``.
-
-    The probe compares the two kernels *at the same block size* -- the
-    canonical blocked fold is the reference, not the unblocked GEMM (at
-    deep shapes those differ in the last ulp by construction, which is
-    the whole reason the blocked fold exists). A block that is too large
-    for this environment's BLAS to fold single-lane within the block
-    fails on essentially every random probe, exactly like the unblocked
-    probe at deep shapes, so wrong fold orders are rejected decisively.
-    """
-    key = (calibration_key(layer, backend), int(kblock))
-    cached = _BLOCK_EXACT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    g = layer.geometry
-    rng = new_rng(0xC0FFEE)
-    exact = True
-    for density in (0.02, 0.1, 0.3):
-        probe = (
-            rng.random((2, g.cin, g.height, g.width)) < density
-        ).astype(np.float32)
-        want = dense_conv(layer, probe, kblock=kblock)
-        got, _ = event_conv_blocked(layer, probe, backend, kblock)
-        if not np.array_equal(got, want):
-            exact = False
-            break
-    _BLOCK_EXACT_CACHE[key] = exact
+    exact = _probes_agree(
+        layer,
+        lambda x: dense_conv(layer, x, kblock=block or None),
+        lambda x: (
+            event_conv_blocked(layer, x, block) if block else event_conv(layer, x)
+        )[0],
+    )
+    _FOLD_EXACT_CACHE[key] = exact
     return exact
 
 
 def resolve_event_block(
-    layer: LayerPlan, backend: str, kblock: Optional[int] = None
+    layer: LayerPlan, kblock: Optional[int] = None
 ) -> Optional[int]:
     """The layer's calibrated event-path configuration.
 
@@ -539,31 +491,24 @@ def resolve_event_block(
       behaviour);
     * ``B > 0`` -- force block size ``B`` (still subject to the
       exactness probe; an inexact forced block falls back like auto
-      would at that single candidate).
+      would at that single candidate, and a block spanning all of
+      ``k`` is the unblocked fold).
     """
     if layer.kind != "conv" or layer.geometry is None:
         return None
     k = int(layer.geometry.k)
-    if kblock is not None and kblock > 0:
-        if kblock >= k:  # one block spanning all of k == unblocked
-            return 0 if calibrate_event_exact(layer, backend) else None
-        return kblock if calibrate_block_exact(layer, backend, kblock) else None
-    if kblock == 0:
-        return 0 if calibrate_event_exact(layer, backend) else None
-    key = calibration_key(layer, backend)
+    if kblock is not None:
+        block = kblock if kblock < k else 0
+        return block if calibrate_fold_exact(layer, block) else None
+    key = calibration_key(layer)
     choice = _BLOCK_CHOICE_CACHE.get(key, _UNRESOLVED)
     if choice is not _UNRESOLVED:
         return choice
-    if calibrate_event_exact(layer, backend):
-        choice = 0
-    else:
-        choice = None
-        for candidate in KBLOCK_CANDIDATES:
-            if candidate >= k:
-                continue
-            if calibrate_block_exact(layer, backend, candidate):
-                choice = candidate
-                break
+    choice = None
+    for candidate in (0,) + KBLOCK_CANDIDATES:
+        if candidate < k and calibrate_fold_exact(layer, candidate):
+            choice = candidate
+            break
     _BLOCK_CHOICE_CACHE[key] = choice
     return choice
 
@@ -580,11 +525,11 @@ def seed_block_resolution(key: Tuple, block: Optional[int]) -> None:
     event path that the current environment has disproven.
     """
     key = tuple(key)
-    _CALIBRATION_CACHE.setdefault(key, block == 0)
+    _FOLD_EXACT_CACHE.setdefault((key, 0), block == 0)
     if key not in _BLOCK_CHOICE_CACHE:
         _BLOCK_CHOICE_CACHE[key] = None if block is None else int(block)
         if block:
-            _BLOCK_EXACT_CACHE.setdefault((key, int(block)), True)
+            _FOLD_EXACT_CACHE.setdefault((key, int(block)), True)
 
 
 # ---------------------------------------------------------------------------

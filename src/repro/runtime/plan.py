@@ -165,9 +165,9 @@ class LayerPlan:
     # Cached worst-case |accumulator| for binary inputs (int64).
     _int_bound: Optional[int] = field(default=None, repr=False, compare=False)
     # Bit-exactness verdicts of the integer path vs the float reference,
-    # keyed by (scatter backend, k-block; 0 = unblocked). Weight-dependent,
-    # so cached per layer (not per shape); seedable from plan sidecars.
-    _int_exact: Dict[Tuple[str, int], bool] = field(
+    # keyed by k-block (0 = unblocked). Weight-dependent, so cached per
+    # layer (not per shape); seedable from plan sidecars.
+    _int_exact: Dict[int, bool] = field(
         default_factory=dict, repr=False, compare=False
     )
 

@@ -14,10 +14,12 @@ calibration cache so cold-started worker processes skip the probes
 entirely.
 
 Calibration verdicts are only trusted when the sidecar's environment
-fingerprint (numpy version, platform, BLAS-visible machine) matches the
-loading process -- a different BLAS may fold GEMMs differently, and a
-wrong ``True`` verdict would break bit-exactness. On mismatch the plan
-still loads; the verdicts are simply re-probed on first dispatch.
+fingerprint (numpy and scipy versions, platform, BLAS-visible machine)
+matches the loading process -- a different BLAS may fold GEMMs
+differently, a different scipy may change the CSR product the event
+side accumulates with, and a wrong ``True`` verdict would break
+bit-exactness. On mismatch the plan still loads; the verdicts are
+simply re-probed on first dispatch.
 
 :func:`plan_report` renders the per-layer lowering outcome -- which conv
 shapes take the unblocked event path, which needed the canonical blocked
@@ -47,14 +49,14 @@ import zipfile
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
+import scipy
 
 from repro.errors import ReproError, RuntimeUnsupportedError
 from repro.runtime.config import runtime_config
 from repro.runtime.kernels import (
-    calibrate_event_exact,
+    calibrate_fold_exact,
     calibrate_int_exact,
     calibration_key,
-    resolve_event_backend,
     resolve_event_block,
     seed_block_resolution,
     seed_int_exact,
@@ -70,7 +72,7 @@ from repro.utils.serialization import load_npz, save_npz
 PLAN_SIDECAR_SUFFIX = ".plan.npz"
 
 #: The only sidecar format :func:`load_plan` accepts.
-PLAN_FORMAT = "network-plan-v5"
+PLAN_FORMAT = "network-plan-v6"
 
 _BN_FIELDS = ("bn_mu", "bn_inv_std", "bn_gamma", "bn_beta")
 
@@ -100,9 +102,11 @@ def _blas_signature() -> str:
 
 
 def environment_fingerprint() -> Dict[str, str]:
-    """Identity of everything that can change a BLAS fold verdict."""
+    """Identity of everything that can change a fold verdict: the BLAS
+    side's GEMM and the event side's scipy CSR product."""
     return {
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "processor": platform.processor(),
@@ -132,7 +136,6 @@ def plan_sidecar_path(model_path: str) -> str:
 def save_plan(
     plan: NetworkPlan,
     path: str,
-    backend: Optional[str] = None,
     model_digest: Optional[str] = None,
 ) -> None:
     """Serialize ``plan`` (weights, BN, calibration outcomes) to ``path``.
@@ -142,7 +145,6 @@ def save_plan(
     :meth:`DeployableNetwork.weights_digest`); loaders passing the same
     digest will reject a stale sidecar left behind by a retrain.
     """
-    backend = resolve_event_backend(backend or runtime_config().event_backend)
     arrays: Dict[str, np.ndarray] = {}
     meta: Dict[str, object] = {
         "format": PLAN_FORMAT,
@@ -153,7 +155,6 @@ def save_plan(
         "population_group": plan.population_group,
         "spike_rule": plan.spike_rule,
         "source": plan.source,
-        "backend": backend,
         "fingerprint": environment_fingerprint(),
         "layers": [],
     }
@@ -183,10 +184,10 @@ def save_plan(
             # Auto resolution (None = dense fallback, 0 = unblocked,
             # >0 = blocked): probed here once so cold loaders skip every
             # block-candidate GEMM.
-            block = resolve_event_block(layer, backend)
+            block = resolve_event_block(layer)
             info["block"] = block
             if layer.has_int_lowering:
-                info["int_exact"] = calibrate_int_exact(layer, backend, block)
+                info["int_exact"] = calibrate_int_exact(layer, block)
         meta["layers"].append(info)
     save_npz(path, arrays, meta)
 
@@ -217,7 +218,6 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
             f"plan sidecar {path!r} was lowered from a different model "
             "(digest mismatch; retrain left a stale sidecar)"
         )
-    backend = meta["backend"]
     seed = meta.get("fingerprint") == environment_fingerprint()
     layers: List[LayerPlan] = []
     for index, info in enumerate(meta["layers"]):
@@ -255,11 +255,11 @@ def load_plan(path: str, model_digest: Optional[str] = None) -> NetworkPlan:
         # different BLAS may fold GEMMs differently.
         if seed and layer.kind == "conv":
             block = info["block"]
-            seed_block_resolution(calibration_key(layer, backend), block)
+            seed_block_resolution(calibration_key(layer), block)
             if layer.has_int_lowering:
                 # Weight-dependent, so seeded per layer object rather
-                # than into the shape-keyed calibration caches.
-                seed_int_exact(layer, backend, block, info["int_exact"])
+                # than into the shape-keyed fold cache.
+                seed_int_exact(layer, block, info["int_exact"])
         layers.append(layer)
     return NetworkPlan(
         layers=layers,
@@ -299,7 +299,6 @@ def try_load_plan(
 
 def plan_report(
     plan: NetworkPlan,
-    backend: Optional[str] = None,
     counters: Optional[Dict] = None,
 ) -> List[Dict]:
     """Per-layer lowering outcome: kernel shape and dispatch eligibility.
@@ -316,7 +315,6 @@ def plan_report(
     density above threshold vs cost-model veto vs calibration fallback
     vs forced.
     """
-    backend = resolve_event_backend(backend or runtime_config().event_backend)
     kblock = runtime_config().event_kblock
     rows: List[Dict] = []
     for layer in plan.layers:
@@ -330,8 +328,8 @@ def plan_report(
                 "path": "dense (fc layers never dispatch)",
             }
         else:
-            exact = calibrate_event_exact(layer, backend)
-            block = resolve_event_block(layer, backend, kblock)
+            exact = calibrate_fold_exact(layer, 0)
+            block = resolve_event_block(layer, kblock)
             if block is None:
                 path = "dense-fallback (calibration: no bit-exact fold at this shape)"
             elif block == 0:

@@ -28,7 +28,8 @@ def test_stale_plan_format_flagged(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "src").mkdir()
     (tmp_path / "docs" / "a.md").write_text(
-        f"current {PLAN_FORMAT}\nold network-plan-v3\n", encoding="utf-8"
+        f"current {PLAN_FORMAT}\nold network-plan-v3\nprevious network-plan-v5\n",
+        encoding="utf-8",
     )
     (tmp_path / "src" / "b.py").write_text(
         "# network-plan-v1\n", encoding="utf-8"
@@ -39,5 +40,6 @@ def test_stale_plan_format_flagged(tmp_path):
     hits = _gate().plan_format_drift(str(tmp_path), PLAN_FORMAT)
     assert hits == [
         os.path.join("docs", "a.md") + ":2: network-plan-v3",
+        os.path.join("docs", "a.md") + ":3: network-plan-v5",
         os.path.join("src", "b.py") + ":1: network-plan-v1",
     ]

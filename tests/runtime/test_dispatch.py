@@ -92,7 +92,7 @@ class TestDensityEdges:
         """With blocking disabled, a deep shape whose full-K GEMM fold
         fails the unblocked probe must stay dense -- the pre-blocked-fold
         fallback contract, now opt-in via event_kblock=0."""
-        from repro.runtime import calibrate_event_exact, resolve_event_backend
+        from repro.runtime import calibrate_fold_exact
         from repro.runtime.plan import plan_deployable
 
         net = build_network(
@@ -101,9 +101,7 @@ class TestDensityEdges:
         net.eval()
         deployable = convert(net, FP32)
         plan = plan_deployable(deployable)
-        verdict = calibrate_event_exact(
-            plan.layers[0], resolve_event_backend("auto")
-        )
+        verdict = calibrate_fold_exact(plan.layers[0], 0)
         images = np.random.default_rng(1).random((3, 64, 8, 8)).astype(np.float32)
         legacy = deployable.forward_legacy(images, 2, RateEncoder(seed=2))
         with runtime_overrides(force_path="event", event_kblock=0):
@@ -122,7 +120,7 @@ class TestDensityEdges:
         """The same deep shape with blocking on (default) takes the
         event path, bit-identically to its own forced-dense run: both
         kernels share the canonical blocked k-fold."""
-        from repro.runtime import resolve_event_backend, resolve_event_block
+        from repro.runtime import resolve_event_block
         from repro.runtime.plan import plan_deployable
 
         net = build_network(
@@ -131,9 +129,7 @@ class TestDensityEdges:
         net.eval()
         deployable = convert(net, FP32)
         plan = plan_deployable(deployable)
-        block = resolve_event_block(
-            plan.layers[0], resolve_event_backend("auto")
-        )
+        block = resolve_event_block(plan.layers[0])
         assert block is not None and block > 0
         images = np.random.default_rng(1).random((3, 64, 8, 8)).astype(np.float32)
         with runtime_overrides(force_path="event"):
@@ -162,10 +158,6 @@ class TestConfig:
     def test_invalid_force_path_rejected(self):
         with pytest.raises(ConfigError, match="force_path"):
             RuntimeConfig(force_path="magic")
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigError, match="event_backend"):
-            RuntimeConfig(event_backend="torch")
 
     def test_invalid_fuse_cap_rejected(self):
         with pytest.raises(ConfigError, match="max_fused_elements"):

@@ -78,12 +78,6 @@ class TestDeployableEquivalence:
             runtime = seeded_deployable.forward(images, 2)
         assert np.array_equal(legacy.logits, runtime.logits)
 
-    def test_numpy_event_backend_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2)
-        with runtime_overrides(force_path="event", event_backend="numpy"):
-            runtime = seeded_deployable.forward(images, 2)
-        assert np.array_equal(legacy.logits, runtime.logits)
-
     def test_rate_coding_without_dense_input_core(self, seeded_deployable, images):
         legacy = seeded_deployable.forward_legacy(
             images, 4, RateEncoder(seed=5), record=True

@@ -25,8 +25,6 @@ from repro.runtime import (
     calibrate_int_exact,
     dense_conv_int,
     event_conv_int,
-    resolve_event_backend,
-    runtime_config,
     runtime_overrides,
 )
 from repro.runtime.kernels import dense_conv
@@ -85,27 +83,22 @@ def int64_oracle(layer, x):
     return current * scale + layer.bias.reshape(1, -1, 1, 1)
 
 
-@pytest.fixture(scope="module")
-def backend():
-    return resolve_event_backend(runtime_config().event_backend)
-
-
 class TestIntKernels:
     @pytest.mark.parametrize("density", [0.0, 0.02, 0.3])
-    def test_int_dense_equals_int_event_always(self, backend, density):
+    def test_int_dense_equals_int_event_always(self, density):
         """Integer addition is associative: the two int flavours agree
         bit-for-bit at every density, pow2 scales or not."""
         for pow2 in (True, False):
             layer = make_int_layer(8, 6, 6, 12, seed=3, pow2=pow2)
             x = binary_batch((8, 6, 6), density, seed=5)
             dense = dense_conv_int(layer, x)
-            event, updates = event_conv_int(layer, x, backend)
+            event, updates = event_conv_int(layer, x)
             assert np.array_equal(dense, event)
             assert updates >= 0
 
     @pytest.mark.parametrize("cin", [3, 64, 256])  # K = 27, 576, 2304
     @pytest.mark.parametrize("qmax", [127, 32767])  # int8 / int16 widths
-    def test_kernels_match_int64_oracle(self, backend, cin, qmax):
+    def test_kernels_match_int64_oracle(self, cin, qmax):
         """Both int flavours equal the int64 reference fold byte for
         byte, up to paper depth, at every density."""
         k = cin * 9
@@ -117,41 +110,41 @@ class TestIntKernels:
             x = binary_batch((cin, 4, 4), density, seed=cin, batch=2)
             want = int64_oracle(layer, x).tobytes()
             assert dense_conv_int(layer, x).tobytes() == want
-            event, _ = event_conv_int(layer, x, backend)
+            event, _ = event_conv_int(layer, x)
             assert event.tobytes() == want
 
-    def test_pow2_layer_matches_float_bit_exactly(self, backend):
+    def test_pow2_layer_matches_float_bit_exactly(self):
         layer = make_int_layer(8, 6, 6, 12, seed=4, pow2=True)
         x = binary_batch((8, 6, 6), 0.1, seed=6)
         want = dense_conv(layer, x)
         assert np.array_equal(dense_conv_int(layer, x), want)
-        got, _ = event_conv_int(layer, x, backend)
+        got, _ = event_conv_int(layer, x)
         assert np.array_equal(got, want)
 
-    def test_pow2_layer_probes_exact(self, backend):
+    def test_pow2_layer_probes_exact(self):
         layer = make_int_layer(8, 6, 6, 12, seed=7, pow2=True)
-        assert calibrate_int_exact(layer, backend) is True
+        assert calibrate_int_exact(layer) is True
 
-    def test_arbitrary_scales_fail_the_probe(self, backend):
+    def test_arbitrary_scales_fail_the_probe(self):
         """max|w|/qmax scales produce inexact dequantized weights; the
         probe must catch the drift so 'auto' never serves different
         numbers than float."""
         layer = make_int_layer(8, 6, 6, 12, seed=8, pow2=False)
-        assert calibrate_int_exact(layer, backend) is False
+        assert calibrate_int_exact(layer) is False
 
-    def test_no_lowering_means_no_verdict(self, backend):
+    def test_no_lowering_means_no_verdict(self):
         layer = make_conv_layer_plan(8, 6, 6, 12, seed=9)
         assert not layer.has_int_lowering
-        assert calibrate_int_exact(layer, backend) is False
+        assert calibrate_int_exact(layer) is False
 
-    def test_deep_shape_probes_exact_at_k2304(self, backend):
+    def test_deep_shape_probes_exact_at_k2304(self):
         """The deepest VGG9 geometry (K = 256*3*3 = 2304): worst-case
         |acc| = 127 * 2304 < 2^24, so the pow2 integer path stays exact
         at full paper depth."""
         layer = make_int_layer(256, 4, 4, 16, seed=10, pow2=True)
         assert layer.int_bound <= 127 * 2304
         assert layer.int_overflow_ok
-        assert calibrate_int_exact(layer, backend) is True
+        assert calibrate_int_exact(layer) is True
 
 
 class TestOverflowGate:
@@ -176,7 +169,7 @@ class TestOverflowGate:
         assert layer.int_bound == INT_ACCUMULATION_LIMIT + excess
         return layer
 
-    def test_channel_l1_at_limit_is_exact(self, backend):
+    def test_channel_l1_at_limit_is_exact(self):
         """All inputs active: the centre outputs accumulate the whole
         channel, reaching exactly 2^24, and every fold stays exact."""
         layer = self._limit_layer(0)
@@ -186,13 +179,13 @@ class TestOverflowGate:
         assert want[0, 0, 1, 1] == INT_ACCUMULATION_LIMIT
         assert want[0, 1, 1, 1] == -INT_ACCUMULATION_LIMIT
         assert dense_conv_int(layer, x).tobytes() == want.tobytes()
-        event, _ = event_conv_int(layer, x, backend)
+        event, _ = event_conv_int(layer, x)
         assert event.tobytes() == want.tobytes()
 
-    def test_channel_l1_past_limit_is_refused(self, backend):
+    def test_channel_l1_past_limit_is_refused(self):
         layer = self._limit_layer(1)
         assert not layer.int_overflow_ok
-        assert calibrate_int_exact(layer, backend) is False
+        assert calibrate_int_exact(layer) is False
 
     def test_bound_exceeds_limit(self):
         layer = self._overflowing_layer()
@@ -202,8 +195,8 @@ class TestOverflowGate:
         assert layer.int_bound > INT_ACCUMULATION_LIMIT
         assert not layer.int_overflow_ok
 
-    def test_probe_refuses_overflowing_layer(self, backend):
-        assert calibrate_int_exact(self._overflowing_layer(), backend) is False
+    def test_probe_refuses_overflowing_layer(self):
+        assert calibrate_int_exact(self._overflowing_layer()) is False
 
     def test_engine_attributes_overflow_fallback(self):
         """Even under forced integer mode the engine must keep an

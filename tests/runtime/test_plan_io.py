@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
 from repro.quant import FP32, INT4, convert
 from repro.runtime import (
@@ -14,11 +15,8 @@ from repro.runtime import (
     save_plan,
     stack_encoder_frames,
 )
-from repro.runtime.kernels import (
-    _CALIBRATION_CACHE,
-    calibration_key,
-    resolve_event_backend,
-)
+from repro.runtime import kernels
+from repro.runtime.kernels import calibration_key
 from repro.runtime.plan_io import environment_fingerprint
 from repro.snn import build_network
 from repro.snn.encoding import DirectEncoder
@@ -199,99 +197,89 @@ class TestCalibrationSeeding:
         self, deployable, tmp_path, monkeypatch
     ):
         live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
         path = str(tmp_path / "cal.plan.npz")
         save_plan(live, path)
         saved_verdicts = {
-            calibration_key(layer, backend): _CALIBRATION_CACHE[
-                calibration_key(layer, backend)
-            ]
+            calibration_key(layer): kernels.calibrate_fold_exact(layer, 0)
             for layer in live.layers
             if layer.kind == "conv"
         }
-        monkeypatch.setattr(
-            "repro.runtime.kernels._CALIBRATION_CACHE", {}
-        )
-        from repro.runtime import kernels
+        monkeypatch.setattr(kernels, "_FOLD_EXACT_CACHE", {})
 
         loaded = load_plan(path)
         for layer in loaded.layers:
             if layer.kind != "conv":
                 continue
-            key = calibration_key(layer, backend)
-            assert kernels._CALIBRATION_CACHE[key] == saved_verdicts[key]
-        # A seeded cache means calibrate_event_exact never probes: break
-        # the probe kernels and confirm the verdict still returns.
+            key = calibration_key(layer)
+            assert kernels._FOLD_EXACT_CACHE[(key, 0)] == saved_verdicts[key]
+        # A seeded cache means the fold probe never runs: break the
+        # probe kernels and confirm the verdict still returns.
         monkeypatch.setattr(
-            "repro.runtime.kernels.dense_conv",
+            kernels,
+            "dense_conv",
             lambda *a, **k: pytest.fail("probe ran despite seeded cache"),
         )
         for layer in loaded.layers:
             if layer.kind == "conv":
-                assert kernels.calibrate_event_exact(layer, backend) == (
-                    saved_verdicts[calibration_key(layer, backend)]
+                assert kernels.calibrate_fold_exact(layer, 0) == (
+                    saved_verdicts[calibration_key(layer)]
                 )
 
     def test_live_probe_wins_over_seeded_verdict(self, deployable, tmp_path):
         from repro.runtime.kernels import seed_block_resolution
 
         live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
         conv = next(l for l in live.layers if l.kind == "conv")
-        key = calibration_key(conv, backend)
-        probed = _CALIBRATION_CACHE.get(key)
-        if probed is None:
-            from repro.runtime.kernels import calibrate_event_exact
-
-            probed = calibrate_event_exact(conv, backend)
+        key = calibration_key(conv)
+        probed = kernels.calibrate_fold_exact(conv, 0)
         seed_block_resolution(key, None if probed else 0)  # lying sidecar
-        assert _CALIBRATION_CACHE[key] == probed  # probe verdict kept
+        assert kernels._FOLD_EXACT_CACHE[(key, 0)] == probed  # kept
 
     def test_load_seeds_block_resolution(
         self, deployable, tmp_path, monkeypatch
     ):
-        from repro.runtime import kernels
-
         live = plan_deployable(deployable)
-        backend = resolve_event_backend("auto")
         path = str(tmp_path / "blocks.plan.npz")
         save_plan(live, path)
         expected = {
-            calibration_key(layer, backend): kernels.resolve_event_block(
-                layer, backend
-            )
+            calibration_key(layer): kernels.resolve_event_block(layer)
             for layer in live.layers
             if layer.kind == "conv"
         }
-        monkeypatch.setattr(kernels, "_CALIBRATION_CACHE", {})
+        monkeypatch.setattr(kernels, "_FOLD_EXACT_CACHE", {})
         monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})
-        monkeypatch.setattr(kernels, "_BLOCK_EXACT_CACHE", {})
         load_plan(path)
         assert kernels._BLOCK_CHOICE_CACHE == expected
-        # The unblocked verdict is the block choice's ``0`` case.
-        assert kernels._CALIBRATION_CACHE == {
-            key: block == 0 for key, block in expected.items()
+        # The unblocked verdict is the block choice's ``0`` case; a
+        # positive choice also seeds its own block verdict.
+        assert kernels._FOLD_EXACT_CACHE == {
+            **{(key, 0): block == 0 for key, block in expected.items()},
+            **{(key, block): True for key, block in expected.items() if block},
         }
 
+    @pytest.mark.parametrize("package", ["numpy", "scipy"])
     def test_fingerprint_mismatch_ignores_verdicts(
-        self, deployable, tmp_path, monkeypatch
+        self, deployable, tmp_path, monkeypatch, package
     ):
         live = plan_deployable(deployable)
         path = str(tmp_path / "foreign.plan.npz")
         save_plan(live, path)
         arrays, meta = load_npz(path)
-        meta["fingerprint"]["numpy"] = "0.0.0-foreign"
+        meta["fingerprint"][package] = "0.0.0-foreign"
         save_npz(path, arrays, meta)
-        monkeypatch.setattr(
-            "repro.runtime.kernels._CALIBRATION_CACHE", {}
-        )
-        from repro.runtime import kernels
+        monkeypatch.setattr(kernels, "_FOLD_EXACT_CACHE", {})
+        monkeypatch.setattr(kernels, "_BLOCK_CHOICE_CACHE", {})
 
         load_plan(path)
-        assert kernels._CALIBRATION_CACHE == {}
+        assert kernels._FOLD_EXACT_CACHE == {}
+        assert kernels._BLOCK_CHOICE_CACHE == {}
 
     def test_current_fingerprint_matches_itself(self):
         assert environment_fingerprint() == environment_fingerprint()
+
+    def test_fingerprint_includes_scipy_version(self):
+        """The event side of every fold verdict is scipy's CSR product."""
+        assert environment_fingerprint()["scipy"] == scipy.__version__
 
     def test_fingerprint_includes_blas_identity(self):
         fingerprint = environment_fingerprint()
@@ -474,12 +462,9 @@ class TestSidecarIsDerived:
         from repro.runtime.config import runtime_overrides
 
         live = plan_deployable(convert(network, INT8_P2))
-        backend = resolve_event_backend("auto")
         convs = [layer for layer in live.layers if layer.kind == "conv"]
         states = [
-            ensure_cost_state(
-                layer, backend, resolve_event_block(layer, backend) or None
-            )
+            ensure_cost_state(layer, resolve_event_block(layer) or None)
             for layer in convs
         ]
         before = [
@@ -523,8 +508,6 @@ class TestSidecarIsDerived:
         path = str(tmp_path / "int.plan.npz")
         save_plan(live, path)
         loaded = load_plan(path)
-        from repro.runtime import kernels
-
         monkeypatch.setattr(
             kernels,
             "dense_conv",
@@ -544,11 +527,8 @@ class TestSidecarIsDerived:
             assert got.int_bound == want.int_bound
             # Verdict seeded (the broken probes above would fail loudly
             # if calibrate_int_exact had to re-probe).
-            for (b, block), verdict in want._int_exact.items():
-                assert (
-                    kernels.calibrate_int_exact(got, b, block or None)
-                    == verdict
-                )
+            for block, verdict in want._int_exact.items():
+                assert kernels.calibrate_int_exact(got, block) == verdict
         assert seen_int  # the quantized plan did carry a lowering
 
 
@@ -558,6 +538,15 @@ def _relabel(format_name):
         return arrays, meta
 
     return rewrite
+
+
+def _parent_v5_layout(arrays, meta):
+    """The previous writer's layout: a scatter ``backend`` field and no
+    scipy version in the environment fingerprint."""
+    meta["format"] = "network-plan-v5"
+    meta["backend"] = "scipy"
+    del meta["fingerprint"]["scipy"]
+    return arrays, meta
 
 
 def _parent_v4_layout(arrays, meta):
@@ -577,7 +566,7 @@ def _parent_v4_layout(arrays, meta):
         entry = {
             "key": [
                 cin, height, width, info["kernel"], info["padding"],
-                info["output_shape"][0], meta["backend"],
+                info["output_shape"][0], "scipy",
             ],
             "exact": block == 0,
             "block": block,
@@ -621,8 +610,9 @@ class TestForeignFormatRebuilt:
             _relabel("network-plan-v3"),
             _relabel("network-plan-v4"),
             _parent_v4_layout,
+            _parent_v5_layout,
         ],
-        ids=["v1", "v2", "v3", "v4", "parent-v4-layout"],
+        ids=["v1", "v2", "v3", "v4", "parent-v4-layout", "parent-v5-layout"],
     )
     def test_context_rebuilds_foreign_sidecar(
         self, int8_workspace, tmp_path, rewrite

@@ -11,12 +11,11 @@ from repro.runtime import (
     plan_spiking,
 )
 from repro.runtime.kernels import (
-    calibrate_event_exact,
+    calibrate_fold_exact,
     dense_conv,
     dense_fc,
     event_conv,
     or_pool,
-    resolve_event_backend,
 )
 from repro.snn import build_network
 from repro.snn.neuron import LIFConfig, LIFNeuron, lif_scan
@@ -79,14 +78,11 @@ class TestKernels:
         got = dense_conv(conv_plan, x)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("backend", ["scipy", "numpy"])
-    def test_event_conv_matches_dense_conv(self, conv_plan, rng, backend):
-        if backend == "scipy":
-            backend = resolve_event_backend("auto")
+    def test_event_conv_matches_dense_conv(self, conv_plan, rng):
         for density in (0.0, 0.02, 0.3, 1.0):
             x = (rng.random((4, 3, 8, 8)) < density).astype(np.float32)
             want = dense_conv(conv_plan, x)
-            got, updates = event_conv(conv_plan, x, backend)
+            got, updates = event_conv(conv_plan, x)
             assert np.array_equal(got, want), f"density {density}"
             if density == 0.0:
                 assert updates == 0
@@ -98,12 +94,11 @@ class TestKernels:
         assert np.array_equal(dense_fc(fc_plan, x), want)
 
     def test_calibration_gates_event_dispatch(self, conv_plan):
-        backend = resolve_event_backend("auto")
         # The tiny conv shape must calibrate exact in-environment (the
         # per-shape verdict is what the dispatcher relies on).
-        assert calibrate_event_exact(conv_plan, backend) is True
+        assert calibrate_fold_exact(conv_plan, 0) is True
         # Cached verdict: second call hits the process-wide cache.
-        assert calibrate_event_exact(conv_plan, backend) is True
+        assert calibrate_fold_exact(conv_plan, 0) is True
 
     def test_dense_conv_chunking_bitexact(self, conv_plan, rng):
         x = (rng.random((7, 3, 8, 8)) < 0.5).astype(np.float32)
