@@ -13,9 +13,11 @@ where no rounding is involved at all (empty input: both reduce to the
 bias broadcast).
 
 Covers block sizes {32, 128, 512} x densities {0.0, 0.02, 0.3} on a
-deep-VGG9 shape with K >= 500 plus a shallow control, the BufferPool
-path, and fused-batch chunking.
+deep-VGG9 shape with K >= 500 plus a shallow control, float and
+integer-valued weights, the BufferPool path, and fused-batch chunking.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.runtime.kernels import (
     dense_conv,
     event_conv,
     event_conv_blocked,
+    resolve_event_block,
 )
 from repro.runtime.refshapes import (
     DEEP_VGG9_SHAPES,
@@ -41,28 +44,46 @@ DENSITIES = (0.0, 0.02, 0.3)
 #: and a shallow control (K=144) whose unblocked fold is already exact.
 SHAPES = [DEEP_VGG9_SHAPES[0], (16, 16, 16, 32)]
 
+#: Weight kinds: seeded float32, and the int4-valued float32 weights the
+#: integer datapath accumulates (every partial sum an exact integer).
+WEIGHTS = ("float", "integer")
+
 
 def binary_batch(shape, density, seed=7, batch=3):
     rng = np.random.default_rng(seed)
     return (rng.random((batch,) + shape) < density).astype(np.float32)
 
 
+def with_weights(layer, weights):
+    """``layer`` as is, or with its weights rounded onto the int4 grid."""
+    if weights == "float":
+        return layer
+    wmat = np.clip(np.round(layer.wmat * 4), -7, 7).astype(np.float32)
+    return replace(
+        layer, wmat=wmat, wT=np.ascontiguousarray(wmat.T),
+        _block_tables={}, _int_exact={},
+    )
+
+
 class TestBlockedKernelBitIdentity:
     @pytest.mark.parametrize("cin,height,width,cout", SHAPES)
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("density", DENSITIES)
+    @pytest.mark.parametrize("weights", WEIGHTS)
     def test_blocked_dense_vs_blocked_event(
-        self, cin, height, width, cout, block, density
+        self, cin, height, width, cout, block, density, weights
     ):
         """Calibration-accepted blocks: bit-identity. Rejected blocks:
         a real mismatch (the probe discriminates, it does not rubber-
-        stamp) -- though never beyond last-ulp distance."""
-        layer = make_layer(cin, height, width, cout)
+        stamp) -- though never beyond last-ulp distance. Integer-valued
+        weights fold exactly in any order, so they are bit-identical
+        even at blocks calibration rejects."""
+        layer = with_weights(make_layer(cin, height, width, cout), weights)
         x = binary_batch((cin, height, width), density)
         want = dense_conv(layer, x, kblock=block)
         got, updates = event_conv_blocked(layer, x, block)
         accepted = calibrate_fold_exact(layer, block)
-        if accepted or density == 0.0:
+        if accepted or density == 0.0 or weights == "integer":
             # Zero density: every fold of an empty input is the exact
             # bias broadcast, accepted or not.
             assert np.array_equal(got, want)
@@ -125,6 +146,18 @@ class TestBlockedKernelBitIdentity:
         )
         assert np.array_equal(pooled, want)
         assert np.array_equal(chunked, want)
+
+    def test_resolved_block_agrees_on_blocked_path(self):
+        """The auto-resolved block of a deep shape is a real blocked
+        fold, and the blocked event kernel reproduces the blocked dense
+        result at it."""
+        layer = make_layer(64, 16, 16, 128)
+        block = resolve_event_block(layer)
+        assert block is not None and block > 0
+        x = binary_batch((64, 16, 16), 0.02)
+        want = dense_conv(layer, x, kblock=block)
+        got, _ = event_conv_blocked(layer, x, block)
+        assert np.array_equal(got, want)
 
 
 class TestEngineRoutesDeepShapesEvent:

@@ -159,6 +159,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="force_path"):
             RuntimeConfig(force_path="magic")
 
+    def test_removed_event_backend_knob_rejected(self):
+        """scipy is the one scatter backend: the old selector is gone
+        from the config and from the override scope alike."""
+        with pytest.raises(TypeError, match="event_backend"):
+            RuntimeConfig(event_backend="numpy")
+        with pytest.raises(TypeError, match="event_backend"):
+            with runtime_overrides(event_backend="numpy"):
+                pass
+
     def test_invalid_fuse_cap_rejected(self):
         with pytest.raises(ConfigError, match="max_fused_elements"):
             RuntimeConfig(max_fused_elements=0)

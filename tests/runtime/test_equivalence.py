@@ -78,6 +78,13 @@ class TestDeployableEquivalence:
             runtime = seeded_deployable.forward(images, 2)
         assert np.array_equal(legacy.logits, runtime.logits)
 
+    def test_forced_unblocked_event_bitexact(self, seeded_deployable, images):
+        legacy = seeded_deployable.forward_legacy(images, 2)
+        with runtime_overrides(force_path="event", event_kblock=0):
+            runtime = seeded_deployable.forward(images, 2)
+        assert np.array_equal(legacy.logits, runtime.logits)
+        assert runtime.runtime_counters["conv2_1"].event_steps == 2
+
     def test_rate_coding_without_dense_input_core(self, seeded_deployable, images):
         legacy = seeded_deployable.forward_legacy(
             images, 4, RateEncoder(seed=5), record=True

@@ -1,5 +1,7 @@
 """Unit tests for plans, geometry tables and the paired kernels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,15 @@ class TestKernels:
         got = dense_conv(conv_plan, x)
         assert np.array_equal(got, want)
 
-    def test_event_conv_matches_dense_conv(self, conv_plan, rng):
+    @pytest.mark.parametrize("weights", ["float", "integer"])
+    def test_event_conv_matches_dense_conv(self, conv_plan, rng, weights):
+        if weights == "integer":
+            # The integer datapath's int4-valued float32 weights.
+            wmat = np.clip(np.round(conv_plan.wmat * 16), -7, 7)
+            conv_plan = replace(
+                conv_plan, wmat=wmat, wT=np.ascontiguousarray(wmat.T),
+                _block_tables={}, _int_exact={},
+            )
         for density in (0.0, 0.02, 0.3, 1.0):
             x = (rng.random((4, 3, 8, 8)) < density).astype(np.float32)
             want = dense_conv(conv_plan, x)
