@@ -3,7 +3,8 @@
 Times three implementations of the layer-current computation
 
 * **legacy** -- the per-timestep ``DeployableNetwork._layer_current``
-  loop (fresh im2col + einsum + dequantize per timestep),
+  loop of the test oracle (fresh im2col + einsum + dequantize per
+  timestep),
 * **fused** -- the runtime's time-fused dense kernel (one unfold + one
   batched matmul for all timesteps),
 * **event** -- the runtime's event-driven scatter kernel,
@@ -12,8 +13,9 @@ across a sweep of input spike densities, plus the ``blocked_scatter``
 deep-VGG9 micro (blocked event vs dense kernel on a K >= 500 shape --
 the shapes only the canonical blocked k-fold can keep on the event
 path, with the measured cost model's routing verdict per density), the
-end-to-end ``DeployableNetwork.forward`` legacy-vs-runtime comparison on
-a small-scale VGG9 at paper-typical spike densities, the sharded
+end-to-end ``DeployableNetwork.forward`` comparison against the
+per-timestep reference loop (``tests/reference_forward.py``) on a
+small-scale VGG9 at paper-typical spike densities, the sharded
 serial-vs-pooled throughput, warm-vs-cold persistent-pool latency, the
 disk-backed evaluation cache's cold/warm split, the
 ``quantized_kernels`` section (the int8 integer datapath vs the float
@@ -50,6 +52,8 @@ from typing import Callable, Dict, List
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if not any(os.path.isdir(os.path.join(p, "repro")) for p in sys.path if p):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+# The legacy side of every gate is the test suite's reference loop.
+sys.path.append(os.path.join(REPO_ROOT, "tests"))
 
 import numpy as np
 import scipy
@@ -67,6 +71,7 @@ from repro.runtime.kernels import dense_conv, event_conv, event_conv_blocked
 from repro.runtime.refshapes import DEEP_VGG9_SHAPES, make_conv_layer_plan
 from repro.snn import build_vgg9
 from repro.snn.neuron import LIFConfig
+from reference_forward import reference_forward
 
 DENSITIES = (0.01, 0.05, 0.20, 0.50)
 
@@ -260,7 +265,7 @@ def bench_blocked_scatter(params) -> Dict:
 
 def bench_end_to_end(deployable, images, params) -> Dict:
     timesteps = params["timesteps"]
-    legacy_out = deployable.forward_legacy(images, timesteps)
+    legacy_out = reference_forward(deployable, images, timesteps)
     # Two distinct exactness contracts, asserted separately. (1) With
     # blocking disabled every layer computes the same unblocked fold the
     # legacy loop uses, so the runtime must match legacy bit for bit.
@@ -281,7 +286,8 @@ def bench_end_to_end(deployable, images, params) -> Dict:
     if not np.array_equal(runtime_out.logits, forced_dense_out.logits):
         raise SystemExit("default routing diverged from forced dense")
     legacy_ms = timeit(
-        lambda: deployable.forward_legacy(images, timesteps), params["repeats"]
+        lambda: reference_forward(deployable, images, timesteps),
+        params["repeats"],
     )
     runtime_ms = timeit(
         lambda: deployable.forward(images, timesteps), params["repeats"]
@@ -376,7 +382,6 @@ def bench_persistent_pool(params) -> Dict:
     were served warm.
     """
     from repro.parallel import (
-        persistent_pool_enabled,
         run_tasks,
         service_stats,
         shutdown_worker_service,
@@ -397,7 +402,6 @@ def bench_persistent_pool(params) -> Dict:
     warm_ms = timeit(call, params["repeats"])
     after = service_stats()
     return {
-        "enabled": persistent_pool_enabled(),
         "workers": 2,
         "payloads": len(payloads),
         "cold_call_ms": cold_ms,

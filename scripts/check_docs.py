@@ -157,12 +157,17 @@ def main() -> int:
         print(problem, file=sys.stderr)
     if problems:
         return 1
+    from dataclasses import fields
+
+    from repro.runtime.config import RuntimeConfig
+
     env_count = len(registry.registered_env_names()) + len(
         registry.FAMILY_PREFIXES
     )
     print(
         f"docs configuration reference is complete "
-        f"({env_count} REPRO_* variables, {len(parser_flags)} CLI flags)"
+        f"({env_count} REPRO_* variables, {len(parser_flags)} CLI flags, "
+        f"{len(fields(RuntimeConfig))} RuntimeConfig fields)"
     )
     return 0
 

@@ -56,8 +56,6 @@ class CliFlag:
 
 _ENV_VARS: Tuple[EnvVar, ...] = (
     # -- runtime layer (src/repro/runtime/config.py) ------------------
-    EnvVar("REPRO_RUNTIME", "repro/runtime/config.py",
-           "0 disables the fused inference runtime globally"),
     EnvVar("REPRO_DISPATCH_POLICY", "repro/runtime/config.py",
            "dense/event routing: cost (default) or density"),
     EnvVar("REPRO_EVENT_KBLOCK", "repro/runtime/config.py",
@@ -69,8 +67,6 @@ _ENV_VARS: Tuple[EnvVar, ...] = (
            "worker-process count; 1 is the serial fallback"),
     EnvVar("REPRO_ON_SHARD_FAILURE", "repro/parallel/config.py",
            "poison-shard handling: raise (default) or skip"),
-    EnvVar("REPRO_PERSISTENT_POOL", "repro/parallel/config.py",
-           "0 reverts run_tasks to the pool-per-call executor"),
     EnvVar("REPRO_START_METHOD", "repro/parallel/config.py",
            "multiprocessing start method override for service pools"),
     EnvVar("REPRO_BREAKER_THRESHOLD", "repro/parallel/config.py",

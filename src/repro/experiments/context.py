@@ -166,8 +166,6 @@ class ExperimentContext:
         e.g. a retrain under an old sidecar) -- is silently rebuilt from
         the model and re-saved.
         """
-        if not runtime_config().enabled:
-            return
         sidecar = plan_sidecar_path(path)
         digest = model.weights_digest()
         loaded = try_load_plan(sidecar, model_digest=digest)

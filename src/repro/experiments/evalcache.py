@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 from repro.errors import ExperimentError
@@ -99,13 +99,7 @@ class CacheStats:
     corrupt: int = 0  # entries quarantined to <entry>.corrupt on load
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "corrupt": self.corrupt,
-        }
+        return asdict(self)
 
 
 _STATS = CacheStats()  # repro: lint-ok[P102] per-process hit/miss counters; merged only for reporting, never for results

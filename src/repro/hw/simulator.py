@@ -187,16 +187,13 @@ def _sim_shard_result(model, config: AcceleratorConfig, out) -> Tuple:
     functional output (no trains) plus per-layer cycle sums."""
     from repro.quant.convert import DeployableOutput
 
-    stacked_trains = getattr(out, "spike_trains_stacked", None) or {}
     sums: Dict[str, Dict[str, np.ndarray]] = {}
     for index, layer in enumerate(model.layers):
         if index == 0 and config.use_dense_core:
             continue  # dense-core layer: activity-independent timing
-        stacked = stacked_trains.get(layer.name)
-        if stacked is None:
-            stacked = np.stack(out.spike_trains[layer.name])
         sums[layer.name] = sparse_layer_cycle_sums(
-            layer, config.allocation[index], stacked,
+            layer, config.allocation[index],
+            out.spike_trains_stacked[layer.name],
             config.compression_chunk_bits,
         )
     slim = DeployableOutput(
@@ -208,14 +205,13 @@ def _sim_shard_result(model, config: AcceleratorConfig, out) -> Tuple:
     return slim, sums
 
 
-def _init_sim_worker(model_payload, config, images, encoder_blob) -> None:
+def _init_sim_worker(model_payload, config, encoder_blob) -> None:
     from repro.parallel.shard import _materialize_model
 
     global _SIM_WORKER_STATE
     _SIM_WORKER_STATE = {
         "model": _materialize_model(model_payload),
         "config": config,
-        "images": images,
         "encoder_blob": encoder_blob,
     }
 
@@ -225,7 +221,7 @@ def _run_sim_shard(task: Tuple[object, int, int]):
 
     payload, start, timesteps = task
     state = _SIM_WORKER_STATE
-    shard_images = resolve_task_images(payload, state["images"])
+    shard_images = resolve_task_images(payload)
     # Position the encoder on the shard's global sample offset so
     # counter-stream encoders replay the unsharded stream exactly;
     # stateful encoders ignore it (snapshot per shard, as before).
@@ -328,9 +324,7 @@ class HybridSimulator:
                     _sim_shard_result(self.network, self.config, out)
                 )
         else:
-            init_images, image_payloads, cleanup = plan_task_images(
-                images, slices
-            )
+            image_payloads, cleanup = plan_task_images(images, slices)
             tasks = [
                 (payload, piece.start, timesteps)
                 for payload, piece in zip(image_payloads, slices)
@@ -344,7 +338,6 @@ class HybridSimulator:
                     initargs=(
                         ("object", self.network, None),
                         self.config,
-                        init_images,
                         encoder_blob,
                     ),
                 )

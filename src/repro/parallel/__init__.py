@@ -30,8 +30,7 @@ Worker lifecycle
 ----------------
 
 Pooled ``run_tasks`` calls are served by the process-wide persistent
-:class:`~repro.parallel.service.WorkerService` (disable with
-``REPRO_PERSISTENT_POOL=0`` to get a pool per call): the pool starts
+:class:`~repro.parallel.service.WorkerService`: the pool starts
 lazily on the first pooled call and is reused afterwards, amortizing
 the ~20 ms pool startup that used to be paid per call. Workers are
 bootstrapped once (environment pinned to ``REPRO_WORKERS=1``); per-call
@@ -69,11 +68,9 @@ from repro.parallel.retry import (
     retry_stats,
 )
 from repro.parallel.service import (
-    PERSISTENT_POOL_ENV,
     START_METHOD_ENV,
     CircuitBreaker,
     WorkerService,
-    persistent_pool_enabled,
     service_stats,
     shared_service,
     shutdown_worker_service,
@@ -88,7 +85,6 @@ from repro.parallel.shard import (
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
-    "PERSISTENT_POOL_ENV",
     "START_METHOD_ENV",
     "WORKERS_ENV",
     "CircuitBreaker",
@@ -97,7 +93,6 @@ __all__ = [
     "effective_workers",
     "load_deployable_with_plan",
     "merge_outputs",
-    "persistent_pool_enabled",
     "resolve_retry_policy",
     "resolve_workers",
     "retry_stats",

@@ -28,8 +28,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 ON_SHARD_FAILURE_ENV = "REPRO_ON_SHARD_FAILURE"
 
-PERSISTENT_POOL_ENV = "REPRO_PERSISTENT_POOL"
-
 START_METHOD_ENV = "REPRO_START_METHOD"
 
 BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
@@ -69,16 +67,6 @@ def env_positive(name: str, default: float, cast=float) -> float:
     if value <= 0:
         raise ConfigError(f"{name} must be > 0, got {value}")
     return value
-
-
-def persistent_pool_enabled() -> bool:
-    """Whether ``run_tasks`` routes through the shared persistent pool.
-
-    On by default; ``REPRO_PERSISTENT_POOL=0`` reverts every pooled
-    entry point to the pool-per-call executor (bit-identical results,
-    pool startup paid per call again).
-    """
-    return os.environ.get(PERSISTENT_POOL_ENV, "1") != "0"
 
 
 def service_start_method() -> str:

@@ -39,7 +39,6 @@ sweeps get recovery without threading a policy through every caller;
 from __future__ import annotations
 
 import hashlib
-import multiprocessing as mp
 import pickle
 import time
 from dataclasses import asdict, dataclass
@@ -159,12 +158,7 @@ class RetryStats:
     quarantined: int = 0  # tasks given up on (PoisonTaskError raised)
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "calls": self.calls,
-            "retries": self.retries,
-            "recovered_calls": self.recovered_calls,
-            "quarantined": self.quarantined,
-        }
+        return asdict(self)
 
 
 _STATS = RetryStats()  # repro: lint-ok[P102] per-process observability counters; never read by result-producing code
@@ -199,57 +193,6 @@ def _resilient_cell(task: Tuple[Optional[str], int, int, Callable, object]):
     return result
 
 
-def _execute_round(
-    tasks: List[Tuple[int, object]],
-    count: int,
-    initializer: Optional[Callable],
-    initargs: Tuple,
-    timeout: Optional[float],
-) -> Tuple[dict, set, Optional[BaseException]]:
-    """One recovery round: run indexed tasks, harvesting partial results.
-
-    Dispatches to the persistent service (which owns the circuit breaker
-    and restart backoff) or, under ``REPRO_PERSISTENT_POOL=0``, to a
-    dedicated per-round pool. Returns ``(done, dispatched, error)`` --
-    see :func:`repro.parallel.pool.gather_indexed`.
-    """
-    from repro.parallel.service import persistent_pool_enabled, shared_service
-
-    if persistent_pool_enabled():
-        return shared_service().run_indexed(
-            _resilient_cell,
-            tasks,
-            workers=count,
-            initializer=initializer,
-            initargs=initargs,
-            timeout=timeout,
-        )
-    from repro.parallel.pool import (
-        _bootstrap_worker,
-        gather_indexed,
-        pool_start_method,
-    )
-    from repro.runtime.config import runtime_config
-
-    context = mp.get_context(pool_start_method())
-    payload_by = dict(tasks)
-    bootstrap_args = (asdict(runtime_config()), initializer, initargs)
-    with context.Pool(
-        processes=count,
-        initializer=_bootstrap_worker,
-        initargs=bootstrap_args,
-    ) as pool:
-        return gather_indexed(
-            pool,
-            lambda index: pool.apply_async(
-                _resilient_cell, (payload_by[index],)
-            ),
-            [index for index, _ in tasks],
-            window=count,
-            timeout=timeout,
-        )
-
-
 def _payload_fingerprint(payload) -> str:
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return hashlib.sha256(blob).hexdigest()
@@ -271,6 +214,8 @@ def run_tasks_resilient(
     retries and backoff included; on expiry the typed error of the last
     failed round propagates.
     """
+    from repro.parallel.service import shared_service
+
     policy = policy if policy is not None else resolve_retry_policy()
     n = len(payloads)
     spec = active_fault_spec()
@@ -320,9 +265,12 @@ def run_tasks_resilient(
             (index, (spec, index, attempts[index], fn, payloads[index]))
             for index in batch
         ]
-        done, dispatched, error = _execute_round(
+        # One round on the persistent service, which owns the circuit
+        # breaker and restart backoff; see gather_indexed for the triple.
+        done, dispatched, error = shared_service().run_indexed(
+            _resilient_cell,
             tasks,
-            count=min(count, len(batch)),
+            workers=min(count, len(batch)),
             initializer=initializer,
             initargs=initargs,
             timeout=round_timeout,

@@ -1,13 +1,13 @@
 """Persistent worker pools: one long-lived pool, many ``run_tasks`` calls.
 
-PR 2's executor started a fresh process pool for every :func:`run_tasks`
-call, which priced pooling out of small batches: ~20 ms of pool startup
-plus model/state shipping were paid per call, per worker.
-:class:`WorkerService` keeps one pool alive across calls instead --
-lazily started on first use, reused while the resolved worker count
-stays put, resized (restarted) when it changes, and shut down cleanly
-through a context manager, an explicit :meth:`WorkerService.shutdown`,
-or the ``atexit`` hook guarding the process-wide shared instance.
+A fresh process pool per :func:`run_tasks` call would price pooling
+out of small batches: ~20 ms of pool startup plus model/state shipping
+paid per call, per worker. :class:`WorkerService` keeps one pool alive
+across calls instead -- lazily started on first use, reused while the
+resolved worker count stays put, resized (restarted) when it changes,
+and shut down cleanly through a context manager, an explicit
+:meth:`WorkerService.shutdown`, or the ``atexit`` hook guarding the
+process-wide shared instance.
 
 Generations
 -----------
@@ -21,13 +21,13 @@ caller's ``(initializer, initargs)``, pickled once -- and every task
 carries the generation id. A worker whose last-seen generation differs
 re-applies the runtime config and re-runs the initializer before
 executing the cell; a worker already on the right generation runs the
-cell directly. The effect is exactly the per-call pool's semantics
-(state applied once per worker per call) without the per-call startup.
-As a further warm-path shortcut, a call whose state pickles
-byte-identically to the previous call's *reuses* the previous
-generation: already-initialized workers then skip re-initialization and
-keep what the initializer built (a loaded model, a warmed plan) -- the
-model-shipping amortization repeated evaluations want. Initializers
+cell directly: state is applied once per worker per call, without a
+pool startup per call. As a further warm-path shortcut, a call whose
+state pickles byte-identically to the previous call's *reuses* the
+previous generation: already-initialized workers then skip
+re-initialization and keep what the initializer built (a loaded model,
+a warmed plan) -- the model-shipping amortization repeated evaluations
+want. Initializers
 must therefore establish state idempotently; cells must not mutate it
 in ways a repeated identical call may not observe (every cell in this
 package treats worker state as read-only).
@@ -41,8 +41,8 @@ path: each worker reads the file at most once, so a large model crosses
 the parent's pipe zero times and the disk once, instead of once per
 task. Callers should still prefer artifact paths for long-lived state
 (``sharded_forward(model_path=...)`` ships the ``.npz`` + ``.plan.npz``
-location, and :func:`repro.parallel.shard.sharded_forward` switches to
-slice-carrying task payloads whenever the service is active).
+location, and :func:`repro.parallel.shard.sharded_forward` ships image
+rows as memory-mapped slices of one temp file).
 
 Pool sizing is grow-only: a call needing fewer workers than the running
 pool reuses it (submissions are chunked so at most the requested count
@@ -64,8 +64,8 @@ of one extra process. None of this affects results -- the service never
 relies on inherited memory, so every start method computes the same
 bytes (locked down by ``tests/parallel/``).
 
-``REPRO_PERSISTENT_POOL=0`` disables the service globally;
-:func:`run_tasks` then reverts to PR 2's pool-per-call executor.
+The service is the only pooled executor: :func:`run_tasks` and the
+self-healing rounds of :mod:`repro.parallel.retry` both run on it.
 """
 
 from __future__ import annotations
@@ -89,12 +89,10 @@ from repro.parallel.config import (  # noqa: F401
     BREAKER_COOLDOWN_MS_ENV,
     BREAKER_THRESHOLD_ENV,
     BREAKER_WINDOW_MS_ENV,
-    PERSISTENT_POOL_ENV,
     START_METHOD_ENV,
     WORKERS_ENV,
     _reset_override_for_worker,
     env_positive as _env_positive,
-    persistent_pool_enabled,
     resolve_workers,
     service_start_method,
 )
@@ -118,19 +116,7 @@ class ServiceStats:
     breaker_serial_runs: int = 0  # runs degraded to inline serial (breaker open)
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "pool_starts": self.pool_starts,
-            "runs": self.runs,
-            "warm_runs": self.warm_runs,
-            "cells": self.cells,
-            "generations": self.generations,
-            "generation_reuses": self.generation_reuses,
-            "blob_spills": self.blob_spills,
-            "aborts": self.aborts,
-            "restarts": self.restarts,
-            "breaker_trips": self.breaker_trips,
-            "breaker_serial_runs": self.breaker_serial_runs,
-        }
+        return asdict(self)
 
 
 class CircuitBreaker:
@@ -244,9 +230,8 @@ def _service_cell(task: Tuple[int, Tuple[str, object], Callable, object]):
 
     The generation blob -- inline bytes, or a temp-file path for large
     state -- re-applies the parent's runtime config and runs the
-    caller's initializer exactly once per worker per generation -- the
-    same guarantee the per-call pool gave via its creation-time
-    initializer. An initializer that raises leaves the worker's
+    caller's initializer exactly once per worker per generation. An
+    initializer that raises leaves the worker's
     generation unchanged, so the next task retries it rather than
     running the cell against half-applied state.
     """

@@ -25,8 +25,8 @@ from repro.runtime import (
     InferenceEngine,
     LayerCounters,
     plan_deployable,
-    runtime_config,
     stack_encoder_frames,
+    unstack_trains,
 )
 from repro.snn.encoding import DirectEncoder, Encoder
 from repro.snn.metrics import SpikeStats
@@ -93,10 +93,11 @@ class DeployableLayer:
 class DeployableOutput:
     """Results of one deployable forward pass.
 
-    ``spike_trains`` keeps the legacy per-timestep list layout;
-    ``spike_trains_stacked`` exposes the same trains as one ``(T, N, ...)``
-    array per layer (zero-copy views of each other on the runtime path),
-    which the hardware simulator consumes in a single batched pass.
+    With ``record=True``, ``spike_trains_stacked`` holds each layer's
+    input train as one ``(T, N, ...)`` array, which the hardware
+    simulator consumes in a single batched pass, and ``spike_trains``
+    the same trains as per-timestep lists of zero-copy views (see
+    :func:`repro.runtime.unstack_trains`).
     """
 
     logits: np.ndarray
@@ -152,88 +153,20 @@ class DeployableNetwork:
     ) -> DeployableOutput:
         """Run ``timesteps`` of inference on an image batch.
 
-        Routes through the fused inference runtime unless it is
-        disabled; see :mod:`repro.runtime`. Shapes on the unblocked
-        fold (every layer, when ``event_kblock=0``) are bit-exact
-        against :meth:`forward_legacy`; deep conv shapes on the default
-        canonical blocked fold are bit-exact across every dispatch
-        setting (forced dense == forced event == cost-routed) but may
-        differ from the legacy loop's full-``K`` GEMM in the last ulp.
+        Executes on the fused inference runtime (see
+        :mod:`repro.runtime`). Results are bit-identical across every
+        dispatch setting (forced dense == forced event == cost-routed);
+        the per-timestep reference loop the runtime is tested against
+        lives with the tests.
         """
+        if timesteps < 1:
+            raise ShapeError(f"timesteps must be >= 1, got {timesteps}")
         images = np.asarray(images, dtype=np.float32)
         if images.ndim != 4 or images.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"expected (N, {self.input_shape}) images, got {images.shape}"
             )
         encoder = encoder or DirectEncoder()
-        if runtime_config().enabled and timesteps >= 1:
-            return self._forward_runtime(images, timesteps, encoder, record)
-        return self.forward_legacy(images, timesteps, encoder, record)
-
-    def forward_legacy(
-        self,
-        images: np.ndarray,
-        timesteps: int,
-        encoder: Optional[Encoder] = None,
-        record: bool = False,
-    ) -> DeployableOutput:
-        """The original per-timestep loop (reference + fallback path)."""
-        images = np.asarray(images, dtype=np.float32)
-        if images.ndim != 4 or images.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"expected (N, {self.input_shape}) images, got {images.shape}"
-            )
-        encoder = encoder or DirectEncoder()
-        encoder.reset()
-        n = images.shape[0]
-        beta, theta = self.lif.beta, self.lif.threshold
-
-        stats = SpikeStats(samples=n, timesteps=timesteps)
-        input_totals: Dict[str, float] = {}
-        trains: Optional[Dict[str, List[np.ndarray]]] = (
-            {layer.name: [] for layer in self.layers} if record else None
-        )
-        membranes: Dict[str, Optional[np.ndarray]] = {
-            layer.name: None for layer in self.layers
-        }
-        accumulated = np.zeros((n, self.population_size), dtype=np.float32)
-
-        for t in range(timesteps):
-            x = encoder.encode(images, t).data
-            for layer in self.layers:
-                if trains is not None:
-                    trains[layer.name].append(x.copy())
-                input_totals[layer.name] = (
-                    input_totals.get(layer.name, 0.0) + float(x.sum())
-                )
-                current = self._layer_current(layer, x)
-                previous = membranes[layer.name]
-                integrated = current if previous is None else beta * previous + current
-                spikes = (integrated > theta).astype(np.float32)
-                membranes[layer.name] = integrated - spikes * theta
-                stats.record(layer.name, t, spikes)
-                x = spikes
-                if layer.pool_after > 1:
-                    x = _or_pool(x, layer.pool_after)
-            accumulated += x
-
-        logits = accumulated.reshape(n, self.num_classes, self.population_group).sum(
-            axis=2
-        )
-        return DeployableOutput(
-            logits=logits,
-            stats=stats,
-            input_spike_totals=input_totals,
-            spike_trains=trains,
-        )
-
-    def _forward_runtime(
-        self,
-        images: np.ndarray,
-        timesteps: int,
-        encoder: Encoder,
-        record: bool,
-    ) -> DeployableOutput:
         stacked, time_invariant = stack_encoder_frames(
             encoder, images, timesteps, record=record
         )
@@ -252,16 +185,11 @@ class DeployableNetwork:
         logits = result.accumulated.reshape(
             n, self.num_classes, self.population_group
         ).sum(axis=2)
-        trains = (
-            {name: list(arr) for name, arr in result.trains.items()}
-            if result.trains is not None
-            else None
-        )
         return DeployableOutput(
             logits=logits,
             stats=result.stats,
             input_spike_totals=result.input_totals,
-            spike_trains=trains,
+            spike_trains=unstack_trains(result.trains),
             spike_trains_stacked=result.trains,
             runtime_counters=result.counters,
         )
@@ -334,6 +262,13 @@ class DeployableNetwork:
         self._runtime_plan = plan
 
     def _layer_current(self, layer: DeployableLayer, x: np.ndarray) -> np.ndarray:
+        """One layer's current for one timestep of input ``x``.
+
+        A fresh im2col + GEMM on the dequantized weights: the reference
+        arithmetic the runtime's kernels are tested against. Inference
+        never calls it; offline calibration (``perfbench``) and the test
+        oracle do.
+        """
         weight = layer.effective_weight()
         bias = layer.effective_bias()
         if layer.kind == "conv":
@@ -456,12 +391,6 @@ class DeployableNetwork:
                 f"{layer.input_shape} -> {layer.output_shape}{pool}{dense}"
             )
         return "\n".join(lines)
-
-
-def _or_pool(x: np.ndarray, window: int) -> np.ndarray:
-    """OR-gate max pooling on binary maps (hardware Sec. IV-B)."""
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // window, window, w // window, window).max(axis=(3, 5))
 
 
 def convert(network: SpikingNetwork, scheme: QuantScheme = FP32) -> DeployableNetwork:

@@ -60,6 +60,7 @@ from repro.runtime.engine import (
     InferenceEngine,
     RuntimeResult,
     stack_encoder_frames,
+    unstack_trains,
 )
 from repro.runtime.costmodel import LayerCostState, ensure_cost_state
 from repro.runtime.kernels import (
@@ -127,4 +128,5 @@ __all__ = [
     "set_runtime_config",
     "stack_encoder_frames",
     "try_load_plan",
+    "unstack_trains",
 ]

@@ -1,12 +1,9 @@
 """Runtime configuration and per-layer dispatch counters.
 
-One process-wide :class:`RuntimeConfig` governs whether the fused
-inference runtime is used at all, where the density dispatcher switches
-between the dense and the event-driven kernel, and which k-fold the
-event path uses. Tests pin behaviour with
-:func:`runtime_overrides`; ``REPRO_RUNTIME=0`` in the environment turns
-the runtime off globally (every consumer then falls back to the legacy
-per-timestep loops).
+One process-wide :class:`RuntimeConfig` governs where the density
+dispatcher switches between the dense and the event-driven kernel,
+which k-fold the event path uses and whether quantized layers take the
+integer datapath. Tests pin behaviour with :func:`runtime_overrides`.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ class RuntimeConfig:
     """Knobs of the fused inference runtime.
 
     Attributes:
-        enabled: route eligible forwards through the runtime at all.
         dispatch_threshold: input spike density (fraction of set bits) at
             or below which a layer-timestep is *eligible* for the
             event-driven path; 0 disables the event path, 1 forces it
@@ -62,7 +58,6 @@ class RuntimeConfig:
             dense call; larger batches are chunked (bit-exact either way).
     """
 
-    enabled: bool = True
     dispatch_threshold: float = 0.05
     dispatch_policy: str = "cost"
     force_path: Optional[str] = None
@@ -103,8 +98,8 @@ class RuntimeConfig:
 def _env_event_kblock() -> Optional[int]:
     """``REPRO_EVENT_KBLOCK``: ``auto`` (default) -> None, else an int.
 
-    Unparseable values fall back to auto -- consistent with the lenient
-    ``REPRO_RUNTIME`` handling (a typo must not break every import)."""
+    Unparseable values fall back to auto: a typo must not break every
+    import."""
     raw = os.environ.get("REPRO_EVENT_KBLOCK", "auto").strip().lower()
     if raw in ("", "auto"):
         return None
@@ -130,7 +125,6 @@ def _env_int_kernels() -> str:
 
 
 _CONFIG = RuntimeConfig(  # repro: lint-ok[P102] per-process config snapshot; workers re-resolve it from env at bootstrap
-    enabled=os.environ.get("REPRO_RUNTIME", "1") != "0",
     dispatch_policy=_env_dispatch_policy(),
     event_kblock=_env_event_kblock(),
     int_kernels=_env_int_kernels(),

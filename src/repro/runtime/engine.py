@@ -105,6 +105,15 @@ class RuntimeResult:
     counters: Dict[str, LayerCounters] = field(default_factory=dict)
 
 
+def unstack_trains(
+    stacked: Optional[Dict[str, np.ndarray]]
+) -> Optional[Dict[str, List[np.ndarray]]]:
+    """Per-timestep list views of stacked ``(T, N, ...)`` trains."""
+    if stacked is None:
+        return None
+    return {name: list(arr) for name, arr in stacked.items()}
+
+
 class InferenceEngine:
     """Runs a lowered network plan over stacked encoder output."""
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -276,19 +276,7 @@ class EndpointStats:
     queue_peak: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "rejected_full": self.rejected_full,
-            "rejected_closed": self.rejected_closed,
-            "completed": self.completed,
-            "timed_out": self.timed_out,
-            "failed": self.failed,
-            "batches": self.batches,
-            "batched_samples": self.batched_samples,
-            "max_batch": self.max_batch,
-            "queue_peak": self.queue_peak,
-        }
+        return asdict(self)
 
 
 class ModelQueue:

@@ -329,17 +329,12 @@ class SpikingNetwork(Module):
     def _runtime_eligible(self) -> bool:
         """Route through the fused runtime only for pure inference.
 
-        Training-mode BN and autograd recording need the legacy Tensor
+        Training-mode BN and autograd recording need the Tensor tape
         loop; :meth:`predict` (eval + no_grad) takes the runtime path.
         """
-        from repro.runtime import runtime_config
         from repro.tensor.tensor import grad_enabled
 
-        return (
-            runtime_config().enabled
-            and not self.training
-            and not grad_enabled()
-        )
+        return not self.training and not grad_enabled()
 
     def _forward_runtime(
         self,
@@ -355,6 +350,7 @@ class SpikingNetwork(Module):
             InferenceEngine,
             plan_spiking,
             stack_encoder_frames,
+            unstack_trains,
         )
 
         if self._runtime_plan is None:
@@ -381,16 +377,11 @@ class SpikingNetwork(Module):
             n, self.num_classes, self.population_group
         )
         logits = Tensor(np.asarray(grouped.sum(axis=2), dtype=np.float32))
-        trains = (
-            {name: list(arr) for name, arr in result.trains.items()}
-            if result.trains is not None
-            else None
-        )
         return NetworkOutput(
             logits=logits,
             stats=result.stats,
             input_spike_totals=result.input_totals,
-            spike_trains=trains,
+            spike_trains=unstack_trains(result.trains),
             output_spike_counts=result.accumulated.copy(),
         )
 

@@ -16,6 +16,7 @@ from repro.quant import FP32, convert
 from repro.runtime import runtime_overrides
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder, TtfsEncoder
+from reference_forward import reference_forward
 
 
 @pytest.fixture(autouse=True)
@@ -71,15 +72,17 @@ class TestShardedVsUnsharded:
 
     @pytest.mark.parametrize("timesteps", [2, 4])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("runtime_enabled", [True, False])
+    @pytest.mark.parametrize("plain_forward", ["runtime", "reference"])
     def test_stats_and_logits_match_plain_forward(
-        self, deployable, images, timesteps, shards, runtime_enabled
+        self, deployable, images, timesteps, shards, plain_forward
     ):
-        with runtime_overrides(enabled=runtime_enabled):
+        if plain_forward == "runtime":
             plain = deployable.forward(images, timesteps)
-            merged = sharded_forward(
-                deployable, images, timesteps, shards=shards, workers=1
-            )
+        else:
+            plain = reference_forward(deployable, images, timesteps)
+        merged = sharded_forward(
+            deployable, images, timesteps, shards=shards, workers=1
+        )
         assert np.array_equal(merged.logits, plain.logits)
         assert_stats_equal(merged.stats, plain.stats)
 
@@ -117,22 +120,22 @@ class TestPooledVsSerial:
 
     @pytest.mark.parametrize("timesteps", [2, 4])
     @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("runtime_enabled", [True, False])
+    @pytest.mark.parametrize("record", [True, False])
     def test_pooled_bit_identical_to_serial_fallback(
-        self, deployable, images, timesteps, shards, runtime_enabled
+        self, deployable, images, timesteps, shards, record
     ):
-        with runtime_overrides(enabled=runtime_enabled):
-            serial = sharded_forward(
-                deployable, images, timesteps, shards=shards, workers=1,
-                record=True,
-            )
-            pooled = sharded_forward(
-                deployable, images, timesteps, shards=shards, workers=2,
-                record=True,
-            )
-        assert_outputs_equal(
-            pooled, serial, trains=True, counters=runtime_enabled
+        serial = sharded_forward(
+            deployable, images, timesteps, shards=shards, workers=1,
+            record=record,
         )
+        pooled = sharded_forward(
+            deployable, images, timesteps, shards=shards, workers=2,
+            record=record,
+        )
+        assert_outputs_equal(pooled, serial, trains=record, counters=True)
+        if not record:
+            assert pooled.spike_trains is None
+            assert pooled.spike_trains_stacked is None
 
     def test_workers_resolved_from_override(self, deployable, images):
         serial = sharded_forward(deployable, images, 2, shards=2, workers=1)

@@ -21,6 +21,7 @@ from repro.runtime import runtime_overrides
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
 from repro.utils.rng import counter_rng
+from reference_forward import reference_forward
 
 
 @pytest.fixture(autouse=True)
@@ -121,8 +122,7 @@ class TestGeometryInvariance:
     def test_legacy_loop_matches_runtime(self, deployable, images):
         """Both execution paths consume the identical encoded stream."""
         runtime = deployable.forward(images, 3, RateEncoder(seed=5))
-        with runtime_overrides(enabled=False):
-            legacy = deployable.forward(images, 3, RateEncoder(seed=5))
+        legacy = reference_forward(deployable, images, 3, RateEncoder(seed=5))
         assert np.array_equal(runtime.logits, legacy.logits)
         assert runtime.stats.per_layer == legacy.stats.per_layer
 

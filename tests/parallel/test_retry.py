@@ -9,7 +9,6 @@ import pytest
 from repro.errors import ConfigError, PoisonTaskError
 from repro.faults import FAULT_PLAN_ENV
 from repro.parallel import (
-    PERSISTENT_POOL_ENV,
     RetryPolicy,
     resolve_retry_policy,
     retry_stats,
@@ -176,14 +175,6 @@ class TestCrashRecovery:
         assert healed.logits.tobytes() == clean.logits.tobytes()
         assert healed.stats.per_layer == clean.stats.per_layer
         assert healed.input_spike_totals == clean.input_spike_totals
-
-    def test_per_call_backend_recovers_too(self, monkeypatch):
-        monkeypatch.setenv(PERSISTENT_POOL_ENV, "0")
-        monkeypatch.setenv(FAULT_PLAN_ENV, "crash@2:0")
-        healed = run_tasks(
-            _square, list(range(5)), workers=2, retry=RetryPolicy(**FAST)
-        )
-        assert healed == [x * x for x in range(5)]
 
     def test_corrupt_fault_proves_the_injection_seam(self):
         """A ``corrupt`` fault visibly changes a result -- evidence the

@@ -140,18 +140,17 @@ class TestMmapShardPayloads:
     def test_persistent_service_ships_mmap_slices(
         self, deployable, images, monkeypatch
     ):
-        """Under the (default) persistent service the image array is
-        shipped as one temp .npy plus row bounds -- and the merged run
-        is bit-identical to the serial fallback."""
+        """The image array is shipped as one temp .npy plus row bounds
+        -- and the merged run is bit-identical to the serial fallback."""
         import repro.parallel.shard as shard
 
         seen = {}
         original = shard.plan_task_images
 
         def spy(arr, slices):
-            init_images, payloads, cleanup = original(arr, slices)
+            payloads, cleanup = original(arr, slices)
             seen["payloads"] = payloads
-            return init_images, payloads, cleanup
+            return payloads, cleanup
 
         monkeypatch.setattr(shard, "plan_task_images", spy)
         serial = sharded_forward(deployable, images, 2, shards=4, workers=1)
@@ -189,15 +188,12 @@ class TestMmapShardPayloads:
 
         rng = np.random.default_rng(0)
         images = rng.random((6, 2, 3, 3)).astype(np.float32)
-        # bounds into an inherited array
-        got = resolve_task_images((1, 4), images)
-        assert np.array_equal(got, images[1:4])
         # inline array
-        assert np.array_equal(resolve_task_images(images[2:5], None), images[2:5])
+        assert np.array_equal(resolve_task_images(images[2:5]), images[2:5])
         # memory-mapped row slice
         path = str(tmp_path / "imgs.npy")
         np.save(path, images)
-        got = resolve_task_images(("mmap", path, 2, 6), None)
+        got = resolve_task_images(("mmap", path, 2, 6))
         assert np.array_equal(got, images[2:6])
         assert isinstance(got, np.ndarray) and not isinstance(
             got, np.memmap

@@ -90,6 +90,13 @@ class TestFunctionalEquivalence:
                 rng.random((2, 3, 9, 9)).astype(np.float32), 2
             )
 
+    @pytest.mark.parametrize("timesteps", [0, -1])
+    def test_timesteps_validation(self, tiny_deployable, rng, timesteps):
+        with pytest.raises(ShapeError, match="timesteps"):
+            tiny_deployable.forward(
+                rng.random((2, 3, 8, 8)).astype(np.float32), timesteps
+            )
+
     def test_zero_weight_fraction_nonneg(self, tiny_deployable_int4):
         for layer in tiny_deployable_int4.layers:
             assert 0.0 <= layer.zero_weight_fraction <= 1.0

@@ -13,6 +13,7 @@ from repro.runtime import (
 from repro.snn import build_network
 from repro.snn.encoding import Encoder, RateEncoder
 from repro.tensor import Tensor
+from reference_forward import reference_forward
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ class _HalfEncoder(Encoder):
 class TestDensityEdges:
     def test_density_zero_takes_event_path(self, deployable):
         zeros = np.zeros((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(zeros, 2, RateEncoder(seed=0))
+        legacy = reference_forward(deployable, zeros, 2, RateEncoder(seed=0))
         out = deployable.forward(zeros, 2, RateEncoder(seed=0))
         assert np.array_equal(legacy.logits, out.logits)
         counters = out.runtime_counters
@@ -47,7 +48,7 @@ class TestDensityEdges:
 
     def test_density_one_takes_dense_path(self, deployable):
         ones = np.ones((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(ones, 2, RateEncoder(seed=0))
+        legacy = reference_forward(deployable, ones, 2, RateEncoder(seed=0))
         out = deployable.forward(ones, 2, RateEncoder(seed=0))
         assert np.array_equal(legacy.logits, out.logits)
         # Rate coding of all-ones frames fires every pixel: density 1.
@@ -56,7 +57,7 @@ class TestDensityEdges:
 
     def test_density_one_forced_event_still_exact(self, deployable):
         ones = np.ones((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(ones, 2, RateEncoder(seed=0))
+        legacy = reference_forward(deployable, ones, 2, RateEncoder(seed=0))
         with runtime_overrides(force_path="event"):
             out = deployable.forward(ones, 2, RateEncoder(seed=0))
         assert np.array_equal(legacy.logits, out.logits)
@@ -103,7 +104,7 @@ class TestDensityEdges:
         plan = plan_deployable(deployable)
         verdict = calibrate_fold_exact(plan.layers[0], 0)
         images = np.random.default_rng(1).random((3, 64, 8, 8)).astype(np.float32)
-        legacy = deployable.forward_legacy(images, 2, RateEncoder(seed=2))
+        legacy = reference_forward(deployable, images, 2, RateEncoder(seed=2))
         with runtime_overrides(force_path="event", event_kblock=0):
             out = deployable.forward(images, 2, RateEncoder(seed=2))
         # Bit-exact either way; unblocked event dispatch only if the
@@ -142,7 +143,7 @@ class TestDensityEdges:
 
     def test_non_binary_input_detected_and_kept_dense(self, deployable):
         images = np.zeros((4, 3, 8, 8), dtype=np.float32)
-        legacy = deployable.forward_legacy(images, 2, _HalfEncoder())
+        legacy = reference_forward(deployable, images, 2, _HalfEncoder())
         with runtime_overrides(force_path="event"):
             out = deployable.forward(images, 2, _HalfEncoder())
         assert np.array_equal(legacy.logits, out.logits)
@@ -160,13 +161,15 @@ class TestConfig:
             RuntimeConfig(force_path="magic")
 
     def test_removed_event_backend_knob_rejected(self):
-        """scipy is the one scatter backend: the old selector is gone
-        from the config and from the override scope alike."""
-        with pytest.raises(TypeError, match="event_backend"):
-            RuntimeConfig(event_backend="numpy")
-        with pytest.raises(TypeError, match="event_backend"):
-            with runtime_overrides(event_backend="numpy"):
-                pass
+        """Removed knobs are gone from the config and from the override
+        scope alike: scipy is the one scatter backend, and the runtime
+        has no off switch (the reference loop lives in the tests)."""
+        for knob, value in (("event_backend", "numpy"), ("enabled", False)):
+            with pytest.raises(TypeError, match=knob):
+                RuntimeConfig(**{knob: value})
+            with pytest.raises(TypeError, match=knob):
+                with runtime_overrides(**{knob: value}):
+                    pass
 
     def test_invalid_fuse_cap_rejected(self):
         with pytest.raises(ConfigError, match="max_fused_elements"):

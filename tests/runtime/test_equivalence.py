@@ -1,4 +1,8 @@
-"""Bit-exactness of the fused runtime against the legacy loops.
+"""Bit-exactness of the fused runtime against the reference loops.
+
+The deployable oracle is ``tests/reference_forward.py``; the
+``SpikingNetwork`` oracle is its autograd Tensor tape, taken by calling
+``forward`` with gradients enabled.
 
 Every test asserts *exact* array equality: the runtime is a pure
 performance layer and must not perturb a single bit of logits, spike
@@ -16,6 +20,7 @@ from repro.runtime import runtime_overrides
 from repro.snn import build_network
 from repro.snn.encoding import RateEncoder
 from repro.tensor import no_grad
+from reference_forward import reference_forward, with_reference_forward
 
 
 @pytest.fixture(scope="module")
@@ -51,16 +56,18 @@ def assert_outputs_equal(legacy, runtime):
                 assert np.array_equal(train, runtime.spike_trains[name][t]), (
                     f"train mismatch at layer {name}, t={t}"
                 )
+        for name, stacked in legacy.spike_trains_stacked.items():
+            assert np.array_equal(stacked, runtime.spike_trains_stacked[name])
 
 
 class TestDeployableEquivalence:
     def test_dense_dispatch_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2, record=True)
+        legacy = reference_forward(seeded_deployable, images, 2, record=True)
         runtime = seeded_deployable.forward(images, 2, record=True)
         assert_outputs_equal(legacy, runtime)
 
     def test_forced_event_path_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2, record=True)
+        legacy = reference_forward(seeded_deployable, images, 2, record=True)
         with runtime_overrides(force_path="event"):
             runtime = seeded_deployable.forward(images, 2, record=True)
         assert_outputs_equal(legacy, runtime)
@@ -73,21 +80,21 @@ class TestDeployableEquivalence:
         assert counters["fc1"].event_steps == 0
 
     def test_forced_dense_path_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2)
+        legacy = reference_forward(seeded_deployable, images, 2)
         with runtime_overrides(force_path="dense"):
             runtime = seeded_deployable.forward(images, 2)
         assert np.array_equal(legacy.logits, runtime.logits)
 
     def test_forced_unblocked_event_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 2)
+        legacy = reference_forward(seeded_deployable, images, 2)
         with runtime_overrides(force_path="event", event_kblock=0):
             runtime = seeded_deployable.forward(images, 2)
         assert np.array_equal(legacy.logits, runtime.logits)
         assert runtime.runtime_counters["conv2_1"].event_steps == 2
 
     def test_rate_coding_without_dense_input_core(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(
-            images, 4, RateEncoder(seed=5), record=True
+        legacy = reference_forward(
+            seeded_deployable, images, 4, RateEncoder(seed=5), record=True
         )
         with runtime_overrides(force_path="event"):
             runtime = seeded_deployable.forward(
@@ -100,7 +107,7 @@ class TestDeployableEquivalence:
     def test_quantized_network_bitexact(self, seeded_network, images):
         for scheme in (INT4, INT8):
             deployable = convert(seeded_network, scheme)
-            legacy = deployable.forward_legacy(images, 2)
+            legacy = reference_forward(deployable, images, 2)
             runtime = deployable.forward(images, 2)
             assert np.array_equal(legacy.logits, runtime.logits)
             with runtime_overrides(force_path="event"):
@@ -108,7 +115,7 @@ class TestDeployableEquivalence:
             assert np.array_equal(legacy.logits, event.logits)
 
     def test_time_chunking_bitexact(self, seeded_deployable, images):
-        legacy = seeded_deployable.forward_legacy(images, 4, RateEncoder(seed=1))
+        legacy = reference_forward(seeded_deployable, images, 4, RateEncoder(seed=1))
         with runtime_overrides(max_fused_elements=1024):
             chunked = seeded_deployable.forward(images, 4, RateEncoder(seed=1))
         assert np.array_equal(legacy.logits, chunked.logits)
@@ -132,19 +139,13 @@ class TestDeployableEquivalence:
         corrupted += 1.0  # caller reuses its batch buffer
         assert np.array_equal(out2.spike_trains_stacked["conv1_1"], before)
 
-    def test_runtime_disabled_falls_back(self, seeded_deployable, images):
-        with runtime_overrides(enabled=False):
-            out = seeded_deployable.forward(images, 2, record=True)
-        assert out.spike_trains_stacked is None  # legacy path marker
-        assert out.spike_trains is not None
-
 
 class TestSpikingNetworkEquivalence:
     def test_eval_forward_bitexact(self, seeded_network, images):
         with no_grad():
             runtime = seeded_network.forward(images, 2, record=True)
-            with runtime_overrides(enabled=False):
-                legacy = seeded_network.forward(images, 2, record=True)
+        legacy = seeded_network.forward(images, 2, record=True)
+        assert legacy.logits.requires_grad  # the tape oracle ran
         assert np.array_equal(legacy.logits.data, runtime.logits.data)
         assert np.array_equal(
             legacy.output_spike_counts, runtime.output_spike_counts
@@ -170,8 +171,7 @@ class TestSpikingNetworkEquivalence:
 
     def test_predict_matches_legacy_predict(self, seeded_network, images):
         runtime_pred = seeded_network.predict(images, 2)
-        with runtime_overrides(enabled=False):
-            legacy_pred = seeded_network.predict(images, 2)
+        legacy_pred = seeded_network.forward(images, 2).logits.data.argmax(axis=1)
         assert np.array_equal(runtime_pred, legacy_pred)
 
     def test_plan_cache_invalidated_by_weight_updates(self, images):
@@ -190,8 +190,7 @@ class TestSpikingNetworkEquivalence:
         net.eval()
         with no_grad():
             runtime = net.forward(images, 2)
-            with runtime_overrides(enabled=False):
-                legacy = net.forward(images, 2)
+        legacy = net.forward(images, 2)
         assert np.array_equal(runtime.logits.data, legacy.logits.data)
         assert not np.array_equal(runtime.logits.data, first.logits.data)
 
@@ -205,23 +204,26 @@ class TestSpikingNetworkEquivalence:
         net.eval()
         with no_grad():
             runtime = net.forward(images, 2)
-            with runtime_overrides(enabled=False):
-                legacy = net.forward(images, 2)
+        legacy = net.forward(images, 2)
         assert np.array_equal(legacy.logits.data, runtime.logits.data)
 
 
 class TestSimulatorEquivalence:
     @pytest.fixture(scope="class")
-    def simulator(self, seeded_deployable):
-        config = AcceleratorConfig(
-            name="eq", allocation=(1, 2, 2), scheme=FP32
-        )
+    def config(self):
+        return AcceleratorConfig(name="eq", allocation=(1, 2, 2), scheme=FP32)
+
+    @pytest.fixture(scope="class")
+    def simulator(self, seeded_deployable, config):
         return HybridSimulator(seeded_deployable, config)
 
-    def test_cycle_counts_bitexact(self, simulator, images):
+    @pytest.fixture(scope="class")
+    def reference_simulator(self, seeded_deployable, config):
+        return HybridSimulator(with_reference_forward(seeded_deployable), config)
+
+    def test_cycle_counts_bitexact(self, simulator, reference_simulator, images):
         runtime = simulator.run(images, 2)
-        with runtime_overrides(enabled=False):
-            legacy = simulator.run(images, 2)
+        legacy = reference_simulator.run(images, 2)
         for got, want in zip(runtime.layers, legacy.layers):
             assert got.cycles == want.cycles
             assert got.compression_cycles == want.compression_cycles
@@ -233,9 +235,10 @@ class TestSimulatorEquivalence:
         assert runtime.energy_mj == legacy.energy_mj
         assert np.array_equal(runtime.logits, legacy.logits)
 
-    def test_cycle_counts_bitexact_event_path(self, simulator, images):
-        with runtime_overrides(enabled=False):
-            legacy = simulator.run(images, 2)
+    def test_cycle_counts_bitexact_event_path(
+        self, simulator, reference_simulator, images
+    ):
+        legacy = reference_simulator.run(images, 2)
         with runtime_overrides(force_path="event"):
             event = simulator.run(images, 2)
         for got, want in zip(event.layers, legacy.layers):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from repro.hw.compression import compress_exact
 from repro.hw.event_sim import EventDrivenLayerSim, reference_conv
-from repro.quant.convert import _or_pool
 from repro.snn.neuron import LIFConfig, LIFNeuron
 from repro.tensor import Tensor
+from reference_forward import or_pool
 
 
 @st.composite
@@ -87,7 +87,7 @@ class TestPoolingInvariants:
             maps = maps[:, : h - h % 2, : w - w % 2]
             if maps.shape[1] < 2 or maps.shape[2] < 2:
                 return
-        pooled = _or_pool(maps[None], 2)[0]
+        pooled = or_pool(maps[None], 2)[0]
         c, h, w = maps.shape
         tiles = maps.reshape(c, h // 2, 2, w // 2, 2)
         expected = (tiles.sum(axis=(2, 4)) > 0).astype(np.float32)
@@ -100,7 +100,7 @@ class TestPoolingInvariants:
         maps = maps[:, : h - h % 2, : w - w % 2]
         if maps.shape[1] < 2 or maps.shape[2] < 2:
             return
-        pooled = _or_pool(maps[None], 2)[0]
+        pooled = or_pool(maps[None], 2)[0]
         assert pooled.sum() <= maps.sum()
         if maps.sum() == 0:
             assert pooled.sum() == 0

@@ -1,10 +1,16 @@
 """Reporting table / series / comparison tests."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ReproError
+from repro.experiments.evalcache import CacheStats
+from repro.parallel.retry import RetryStats
+from repro.parallel.service import ServiceStats
 from repro.reporting import ComparisonRow, PaperComparison, Series, Table
 from repro.reporting.tables import render_figure
+from repro.serving.batcher import EndpointStats
 
 
 class TestTable:
@@ -98,3 +104,15 @@ class TestComparison:
         text = comparison.render()
         assert "metric [x]" in text
         assert "holds" in text
+
+
+@pytest.mark.parametrize(
+    "stats_cls", [ServiceStats, RetryStats, CacheStats, EndpointStats]
+)
+def test_stats_as_dict_follows_fields(stats_cls):
+    """Counter dicts (read by benches and reports) are the dataclass
+    fields, in declaration order, with their current values."""
+    names = [f.name for f in fields(stats_cls)]
+    stats = stats_cls(**{name: index + 1 for index, name in enumerate(names)})
+    assert list(stats.as_dict()) == names
+    assert list(stats.as_dict().values()) == list(range(1, len(names) + 1))
